@@ -73,8 +73,6 @@ class CStateConfig:
     #: Latency to exit CC6 on an interrupt (the paper notes sleeping CPUs
     #: respond slightly slower to SSRs than active ones).
     exit_latency_ns: int = 50 * US
-    #: Whether CC6 entry flushes the core's L1 (it does on Family 15h).
-    flush_caches_on_entry: bool = True
 
 
 @dataclass(frozen=True)

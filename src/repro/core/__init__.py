@@ -19,7 +19,7 @@ from .experiment import (
     set_disk_cache,
     simulate_run,
 )
-from .metrics import CpuAppMetrics, GpuMetrics, SystemMetrics, geomean
+from .metrics import CpuAppMetrics, GpuMetrics, SystemMetrics, geomean, ratio
 from .planner import (
     PrewarmReport,
     execute_runs,
@@ -108,6 +108,7 @@ __all__ = [
     "StageLatency",
     "format_breakdown",
     "geomean",
+    "ratio",
     "gpu_mitigation_ratio",
     "latency_breakdown",
     "total_mean_latency_ns",

@@ -32,7 +32,7 @@ from typing import Dict, Iterator, Optional, Set
 from ..config import SystemConfig
 from ..oskernel import accounting as acct
 from ..workloads import gpu_app, parsec
-from .metrics import CpuAppMetrics, GpuMetrics, SystemMetrics
+from .metrics import CpuAppMetrics, GpuMetrics, SystemMetrics, ratio
 from .runcache import (
     COST_LEDGER_NAME,
     DiskCache,
@@ -181,8 +181,6 @@ def _placeholder_metrics(key: RunKey) -> SystemMetrics:
             extra_mispredicts=1.0,
             l1_miss_increase=0.01,
             mispredict_increase=0.01,
-            measured_l1_miss_rate=0.05,
-            measured_mispredict_rate=0.05,
         )
     gpu_metrics = None
     if gpu_name is not None:
@@ -266,10 +264,11 @@ def gpu_relative_performance(
     baseline_config: Optional[SystemConfig] = None,
 ) -> float:
     """Fig. 3b quantity: GPU performance running with ``cpu_name``,
-    normalized to the same GPU app with idle CPUs."""
+    normalized to the same GPU app with idle CPUs (NaN if that made no
+    progress)."""
     pair = run_workloads(cpu_name, gpu_name, True, config, horizon_ns)
     idle = run_workloads(None, gpu_name, True, baseline_config or config, horizon_ns)
-    return pair.gpu.performance_metric() / idle.gpu.performance_metric()
+    return ratio(pair.gpu.performance_metric(), idle.gpu.performance_metric())
 
 
 def cpu_mitigation_ratio(
@@ -294,7 +293,8 @@ def gpu_mitigation_ratio(
     horizon_ns: int = DEFAULT_HORIZON_NS,
 ) -> float:
     """Fig. 6b/d/f quantity: GPU performance under a mitigation, normalized
-    to the default configuration (both with the same CPU app)."""
+    to the default configuration (both with the same CPU app; NaN if that
+    made no progress)."""
     mitigated = run_workloads(cpu_name, gpu_name, True, config, horizon_ns)
     default = run_workloads(cpu_name, gpu_name, True, default_config, horizon_ns)
-    return mitigated.gpu.performance_metric() / default.gpu.performance_metric()
+    return ratio(mitigated.gpu.performance_metric(), default.gpu.performance_metric())

@@ -19,9 +19,6 @@ class CpuAppMetrics:
     extra_mispredicts: float
     l1_miss_increase: float
     mispredict_increase: float
-    #: Rates actually observed by the app's sampled windows (counter analog).
-    measured_l1_miss_rate: float = 0.0
-    measured_mispredict_rate: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -166,8 +163,22 @@ class SystemMetrics:
         return "\n".join(lines)
 
 
+def ratio(value: float, reference: float) -> float:
+    """``value / reference``; NaN (undefined) when the reference is 0.
+
+    A GPU app that made no progress over a very short horizon gives its
+    normalized cells no reference; they render as ``n/a``.
+    """
+    return value / reference if reference else math.nan
+
+
 def geomean(values: Sequence[float]) -> float:
-    """Geometric mean (the paper's aggregate for Pareto charts)."""
+    """Geometric mean (the paper's aggregate for Pareto charts).
+
+    NaN if any value is undefined; non-positive values are skipped.
+    """
+    if any(math.isnan(v) for v in values):
+        return math.nan
     cleaned = [v for v in values if v > 0]
     if not cleaned:
         return 0.0

@@ -108,7 +108,6 @@ class System:
         cpu_metrics = None
         if self.cpu_app is not None:
             app = self.cpu_app
-            miss_rate, mispredict_rate = app.measured_uarch_rates()
             cpu_metrics = CpuAppMetrics(
                 name=app.profile.name,
                 instructions=app.instructions_retired,
@@ -118,8 +117,6 @@ class System:
                 extra_mispredicts=app.extra_mispredicts,
                 l1_miss_increase=app.l1_miss_increase(),
                 mispredict_increase=app.mispredict_increase(),
-                measured_l1_miss_rate=miss_rate,
-                measured_mispredict_rate=mispredict_rate,
             )
         gpu_metrics = None
         if self.gpus:

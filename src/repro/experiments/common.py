@@ -11,6 +11,7 @@ figures that share baselines — most of them — reuse each other's work.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -29,6 +30,13 @@ QUICK_CPU_NAMES = [
     "x264",
 ]
 QUICK_GPU_NAMES = ["bfs", "sssp", "xsbench", "ubench"]
+
+
+def format_cell(value: Any) -> str:
+    """One table cell as text: floats to 3 places, NaN (undefined) as n/a."""
+    if isinstance(value, float):
+        return "n/a" if math.isnan(value) else f"{value:.3f}"
+    return str(value)
 
 
 @dataclass
@@ -69,13 +77,7 @@ class ExperimentResult:
 
     def render(self) -> str:
         """Render as an aligned, monospaced text table."""
-
-        def fmt(value: Any) -> str:
-            if isinstance(value, float):
-                return f"{value:.3f}"
-            return str(value)
-
-        table = [[fmt(v) for v in row] for row in self.rows]
+        table = [[format_cell(v) for v in row] for row in self.rows]
         header = [str(c) for c in self.columns]
         widths = [
             max(len(header[i]), *(len(row[i]) for row in table)) if table else len(header[i])
@@ -89,6 +91,14 @@ class ExperimentResult:
         if self.notes:
             lines.append(f"note: {self.notes}")
         return "\n".join(lines)
+
+
+def pareto_cell(point: Any, frontier: set) -> str:
+    """A Pareto table's ``pareto_optimal`` cell: yes, no, or n/a when the
+    point has an undefined (NaN) coordinate."""
+    if math.isnan(point.cpu_performance) or math.isnan(point.gpu_performance):
+        return "n/a"
+    return "yes" if point.label in frontier else "no"
 
 
 #: The experiment registry: id -> callable(**kwargs) -> ExperimentResult.

@@ -15,10 +15,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..config import SystemConfig
-from ..core import ParetoPoint, frontier_labels, geomean, run_workloads
+from ..core import ParetoPoint, frontier_labels, geomean, ratio, run_workloads
 from ..mitigations import ALL_COMBINATIONS, combination
 from ..workloads import PARSEC_NAMES
-from .common import EXPERIMENT_HORIZON_NS, ExperimentResult, register
+from .common import EXPERIMENT_HORIZON_NS, ExperimentResult, pareto_cell, register
 
 
 def pareto_points(
@@ -40,7 +40,7 @@ def pareto_points(
             pair = run_workloads(cpu_name, gpu_name, True, combo_config, horizon_ns)
             baseline = run_workloads(cpu_name, gpu_name, False, config, horizon_ns)
             cpu_values.append(pair.cpu_app.instructions / baseline.cpu_app.instructions)
-            gpu_values.append(pair.gpu.performance_metric() / idle_metric)
+            gpu_values.append(ratio(pair.gpu.performance_metric(), idle_metric))
         points.append(
             ParetoPoint(
                 label=label,
@@ -74,6 +74,6 @@ def run(
             point.label,
             point.cpu_performance,
             point.gpu_performance,
-            "yes" if point.label in frontier else "no",
+            pareto_cell(point, frontier),
         )
     return result

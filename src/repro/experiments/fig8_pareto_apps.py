@@ -12,10 +12,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..config import SystemConfig
-from ..core import ParetoPoint, frontier_labels, geomean, run_workloads
+from ..core import ParetoPoint, frontier_labels, geomean, ratio, run_workloads
 from ..mitigations import ALL_COMBINATIONS, combination
 from ..workloads import GPU_APP_NAMES, PARSEC_NAMES
-from .common import EXPERIMENT_HORIZON_NS, ExperimentResult, register
+from .common import EXPERIMENT_HORIZON_NS, ExperimentResult, pareto_cell, register
 
 #: The combinations the paper's Figure 8 plots.
 PAPER_FIG8_COMBOS = [
@@ -56,7 +56,7 @@ def run(
                     pair.cpu_app.instructions / baseline.cpu_app.instructions
                 )
                 gpu_values.append(
-                    pair.gpu.performance_metric() / idle_metrics[gpu_name]
+                    ratio(pair.gpu.performance_metric(), idle_metrics[gpu_name])
                 )
         points.append(
             ParetoPoint(
@@ -77,6 +77,6 @@ def run(
             point.label,
             point.cpu_performance,
             point.gpu_performance,
-            "yes" if point.label in frontier else "no",
+            pareto_cell(point, frontier),
         )
     return result

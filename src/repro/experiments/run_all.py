@@ -46,6 +46,7 @@ from .common import (
     QUICK_GPU_NAMES,
     REGISTRY,
     UNPLANNABLE,
+    format_cell,
     run_experiment,
 )
 
@@ -310,10 +311,7 @@ def render_markdown(results) -> str:
         lines.append(header)
         lines.append("|" + "---|" * len(result.columns))
         for row in result.rows:
-            cells = [
-                f"{v:.3f}" if isinstance(v, float) else str(v) for v in row
-            ]
-            lines.append("| " + " | ".join(cells) + " |")
+            lines.append("| " + " | ".join(format_cell(v) for v in row) + " |")
         if result.notes:
             lines.append("")
             lines.append(f"*{result.notes}*")

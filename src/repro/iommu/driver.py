@@ -130,7 +130,7 @@ class IommuDriver:
         """Monolithic: drain and queue work directly from the IRQ core.
 
         The pre-processing time was already charged in the handler; the
-        uarch footprint of the larger handler is charged here.
+        cache/predictor footprint of the larger handler is charged here.
         """
         requests = self.iommu.drain_ready()
         if not requests:
@@ -142,7 +142,7 @@ class IommuDriver:
                 args={"requests": len(requests)},
             )
         footprint = self.kernel.config.os_path.bottom_half_footprint
-        core._run_kernel_window(
+        core.charge_footprint(
             footprint[0] * max(1, len(requests) // 2), footprint[1], core.current
         )
         self._queue_requests(core.id, requests)
@@ -175,7 +175,7 @@ class IommuDriver:
             )
         if thread.core is not None:
             footprint = os_path.bottom_half_footprint
-            thread.core._run_kernel_window(
+            thread.core.charge_footprint(
                 footprint[0], footprint[1], thread.core.last_thread
             )
             origin = thread.core.id

@@ -4,8 +4,8 @@ A :class:`Core` is a passive arbiter: the thread that currently holds it
 executes everything, including hard-IRQ top halves (``service_pending_irqs``
 is a generator the occupying thread runs).  The core tracks time segments
 so every nanosecond lands in exactly one accounting bucket, drives the
-timeslice/preemption timers, and owns the microarchitectural state that
-user threads and kernel handlers share.
+timeslice/preemption timers, and charges kernel handlers' cache/predictor
+footprints to the threads they interrupt.
 """
 
 from __future__ import annotations
@@ -14,23 +14,12 @@ from collections import deque
 from typing import Deque, Dict, Optional, Tuple, TYPE_CHECKING
 
 from ..profiling.ledger import CH_IPI, CH_MODE_SWITCH, CH_TOP_HALF
-from ..uarch import AddressStreamSpec, BranchStreamSpec, CoreUarchState
 from . import accounting as acct
 from .thread import KIND_IDLE, KIND_USER, PRIO_IDLE, PRIO_KTHREAD, PRIO_NORMAL, Thread
 
 if TYPE_CHECKING:  # pragma: no cover
     from .irq import Irq
     from .kernel import Kernel
-
-#: Kernel text/data lives in its own address region, shared by all handlers
-#: (so successive handlers enjoy realistic reuse of each other's lines).
-KERNEL_ADDRESS_BASE = 0xFFFF_0000_0000
-KERNEL_PC_BASE = 0xFFFF_8000_0000
-
-#: Sampled user window size (accesses, branches) and its per-owner rate cap.
-USER_WINDOW_ACCESSES = 128
-USER_WINDOW_BRANCHES = 64
-USER_WINDOW_MIN_INTERVAL_NS = 25_000
 
 #: Core sleep states.
 AWAKE = "awake"
@@ -39,7 +28,7 @@ TRANSITIONING = "transition"
 
 
 class Core:
-    """One CPU core: runqueue, IRQ intake, accounting segments, uarch state."""
+    """One CPU core: runqueue, IRQ intake, accounting segments."""
 
     def __init__(self, kernel: "Kernel", core_id: int):
         self.kernel = kernel
@@ -55,18 +44,11 @@ class Core:
         self.last_thread: Optional[Thread] = None
         self.pending_irqs: Deque["Irq"] = deque()
         self.sleep_state = AWAKE
-        self.uarch = CoreUarchState(
-            self.config.cpu.uarch, kernel.rng.stream(f"uarch:{core_id}")
-        )
         self._segment: Optional[Tuple[str, int, Optional[Thread], float]] = None
         self._grant_generation = 0
         self._grant_time = 0
         self._need_resched = False
         self._preempt_check_armed = False
-        self._last_user_window: Dict[str, int] = {}
-        self._kernel_stream_cache: Dict[
-            Tuple[int, int], Tuple[AddressStreamSpec, BranchStreamSpec]
-        ] = {}
 
     # ------------------------------------------------------------------
     # State queries
@@ -233,8 +215,8 @@ class Core:
         """Generator: ``thread`` executes all queued top halves inline.
 
         Charges hard-IRQ time (and user<->kernel mode crossings when the
-        victim is a user thread), pushes each handler's footprint through
-        this core's cache/predictor, and runs handler side effects.
+        victim is a user thread), charges each handler's cache/predictor
+        footprint to the victim, and runs handler side effects.
         """
         if not self.pending_irqs:
             return
@@ -273,7 +255,7 @@ class Core:
             elif ledger.enabled and irq.name.endswith("-ipi"):
                 ledger.charge(irq.name, CH_IPI, thread.name, self.id, handler_ns)
             if irq.footprint is not None:
-                self._run_kernel_window(irq.footprint[0], irq.footprint[1], thread)
+                self.charge_footprint(irq.footprint[0], irq.footprint[1], thread)
             if irq.action is not None:
                 irq.action(self)
         if is_user:
@@ -292,62 +274,23 @@ class Core:
         self.end_segment()
 
     # ------------------------------------------------------------------
-    # Microarchitectural windows
+    # Cache/predictor pollution
     # ------------------------------------------------------------------
-    def _kernel_streams(
-        self, lines: int, branches: int
-    ) -> Tuple[AddressStreamSpec, BranchStreamSpec]:
-        key = (lines, branches)
-        specs = self._kernel_stream_cache.get(key)
-        if specs is None:
-            line_size = self.config.cpu.uarch.line_size
-            specs = (
-                AddressStreamSpec(
-                    base=KERNEL_ADDRESS_BASE,
-                    lines=max(1, lines * 2),
-                    hot_fraction=0.5,
-                    hot_rate=0.7,
-                    line_size=line_size,
-                ),
-                BranchStreamSpec(base_pc=KERNEL_PC_BASE, sites=max(1, branches * 2), bias=0.85),
-            )
-            self._kernel_stream_cache[key] = specs
-        return specs
-
-    def _run_kernel_window(
+    def charge_footprint(
         self, lines: int, branches: int, victim: Optional[Thread]
     ) -> None:
-        """Push a kernel handler's footprint through this core's structures
-        and charge the resulting disturbance to the victim thread.
+        """Charge a kernel handler's cache/predictor footprint to ``victim``.
 
-        The stream itself is mechanistic (it really evicts lines / retrains
-        entries, which the sampled user windows observe for the Figure 5
-        counters).  The *performance charge*, however, is analytic:
-        ``footprint x coverage`` of the interrupted thread, because the
-        sparse sampled user streams structurally under-populate the shared
-        structures relative to a full-rate application (see DESIGN.md).
+        The charge is analytic: ``footprint x coverage`` of the interrupted
+        thread, repaid as stall time when it next runs (DESIGN.md §5.1).
         A handler that lands on an idle core charges no one — which is why
         idle cores absorb SSR work so cheaply (raytrace, steering)."""
-        addr_spec, branch_spec = self._kernel_streams(lines, branches)
-        self.uarch.run_kernel_window(addr_spec, branch_spec, lines, branches)
         if victim is None or victim.finished:
             return
         if victim.cache_coverage <= 0 and victim.predictor_coverage <= 0:
             return
         victim.add_disturbance(
             lines * victim.cache_coverage, branches * victim.predictor_coverage
-        )
-
-    def run_user_window(
-        self, owner: str, addr_spec: AddressStreamSpec, branch_spec: BranchStreamSpec
-    ) -> None:
-        """Maintain ``owner``'s cache/predictor residency (rate-capped)."""
-        last = self._last_user_window.get(owner)
-        if last is not None and self.env.now - last < USER_WINDOW_MIN_INTERVAL_NS:
-            return
-        self._last_user_window[owner] = self.env.now
-        self.uarch.run_user_window(
-            owner, addr_spec, branch_spec, USER_WINDOW_ACCESSES, USER_WINDOW_BRANCHES
         )
 
     # ------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Each core always has a runnable idle thread at the lowest priority.  When
 granted the core, it services stray IRQs, waits out the C-state entry grace
-period, and drops into CC6 (paying entry latency and flushing the L1, per
-AMD Family 15h behaviour).  Interrupts or wakeups pay the CC6 exit latency
-— which is why the paper observes that *sleeping* CPUs respond slightly
-slower to SSRs than busy-but-preemptible ones.
+period, and drops into CC6 (paying entry latency, per AMD Family 15h
+behaviour).  Interrupts or wakeups pay the CC6 exit latency — which is why
+the paper observes that *sleeping* CPUs respond slightly slower to SSRs
+than busy-but-preemptible ones.
 """
 
 from __future__ import annotations
@@ -72,8 +72,6 @@ class IdleThread(Thread):
                 # instead of parking with work queued (lost-wakeup hazard).
                 core.sleep_state = AWAKE
                 continue
-            if cstate.flush_caches_on_entry:
-                core.uarch.flush_for_deep_sleep()
             core.sleep_state = SLEEPING
             tracer = self.kernel.tracer
             if tracer.enabled:

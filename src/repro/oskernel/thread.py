@@ -196,7 +196,6 @@ class Thread:
                 self._release_cpu(requeue=True)
                 continue
             stall = self._take_stall_ns()
-            self.on_segment_start(core)
             segment = max(remaining + stall, 1.0)
             core.begin_segment(self.mode, self, stall)
             start = self.env.now
@@ -251,9 +250,6 @@ class Thread:
     def sleep(self, ns: float) -> Generator:
         """Block off-CPU for ``ns`` simulated nanoseconds."""
         yield from self.wait(self.env.timeout(ns))
-
-    def on_segment_start(self, core: "Core") -> None:
-        """Hook: called with the core right before each productive segment."""
 
     # ------------------------------------------------------------------
     # Internals

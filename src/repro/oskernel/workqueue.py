@@ -100,7 +100,7 @@ class KWorker(Thread):
                 )
             if item.footprint is not None and self.core is not None:
                 # The pollution victim is whoever this worker displaced.
-                self.core._run_kernel_window(
+                self.core.charge_footprint(
                     item.footprint[0], item.footprint[1], self.core.last_thread
                 )
             self.items_serviced += 1

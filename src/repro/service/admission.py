@@ -9,7 +9,9 @@ medicine to itself:
 * :class:`AdmissionController` — the PPR-queue analogue.  A bounded FIFO
   of accepted job ids; overflow is rejected immediately (HTTP 429 with a
   ``Retry-After`` estimated from the queue's recent drain rate), never
-  buffered into an unbounded backlog.
+  buffered into an unbounded backlog.  Only a job that will simulate
+  consults the governor: one served entirely from the run cache adds no
+  simulation load, so it is bounded by the queue alone.
 * :class:`ServiceGovernor` — the wall-clock analogue of
   :class:`repro.qos.governor.QosGovernor`.  It tracks the EWMA fraction
   of host capacity (worker-cores × wall time) spent simulating; while the
@@ -180,15 +182,16 @@ class AdmissionController:
         with self._lock:
             return len(self._queue)
 
-    def try_admit(self, job_id: str) -> None:
+    def try_admit(self, job_id: str, simulates: bool = True) -> None:
         """Enqueue ``job_id`` or raise :class:`RejectedJob` (never blocks).
 
-        The governor is consulted first — when the host is already
-        saturated with simulation work, growing even a non-full queue
-        just converts latency into backlog, which is the failure mode
-        the paper measures.
+        For a job that ``simulates``, the governor is consulted first —
+        when the host is already saturated with simulation work, growing
+        even a non-full queue just converts latency into backlog, which is
+        the failure mode the paper measures.  A job that simulates nothing
+        (every planned run cached) only has to fit in the queue.
         """
-        if self.governor is not None:
+        if simulates and self.governor is not None:
             delay_s = self.governor.admission_delay_s()
             if delay_s > 0.0:
                 self.rejected_backpressure += 1

@@ -276,10 +276,12 @@ class JobScheduler:
         # admission starts back-pressuring while the batch is in flight,
         # not one batch later.  After execution only the residual
         # (actual - predicted, floored at 0) is added, so nothing is
-        # counted twice.
+        # counted twice.  A model with no observations only has its
+        # default prior, which can be off by an order of magnitude, so it
+        # charges nothing up front and the residual charges the actual.
         predicted_core_s = 0.0
-        if self.governor is not None and pending:
-            model = cost_model()
+        model = cost_model()
+        if self.governor is not None and pending and model.observations:
             predicted_core_s = sum(model.predict(key) for key in pending)
             self.governor.note_predicted(predicted_core_s)
 

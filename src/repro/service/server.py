@@ -49,8 +49,9 @@ from __future__ import annotations
 import json
 import threading
 import time
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import urlparse, parse_qs
 
 from collections import OrderedDict
@@ -275,10 +276,17 @@ class HissService:
         run_keys, serial_only = plan_spec(spec)
         plan_elapsed_s = time.time() - received_s
         dedupe_key = dedupe_key_for(spec, run_keys)
+        # A job simulates unless every planned run is cached; a profiled
+        # job re-simulates its cached runs, and serial-only experiments
+        # simulate outside the run cache.
+        simulates = spec.profile or bool(serial_only) or not all(
+            _experiment.cache_lookup(key) is not None for key in run_keys
+        )
         prior_rounds = self._take_backoff_rounds(trace_id)
         try:
             job, deduplicated = self.store.submit(
-                spec, dedupe_key, run_keys, serial_only, self.admission.try_admit,
+                spec, dedupe_key, run_keys, serial_only,
+                lambda job_id: self.admission.try_admit(job_id, simulates),
                 trace_id=trace_id, received_s=received_s,
                 plan_elapsed_s=plan_elapsed_s,
                 backoff_rounds=prior_rounds,
@@ -437,6 +445,33 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
+    def _guarded(self, route: Callable[[], None]) -> None:
+        """Serve one request via ``route``; an exception becomes a JSON 500.
+
+        The reply carries the request's trace id (the client's
+        ``X-Hiss-Trace-Id``, else a fresh one), as does the ops log's
+        ``http.error`` line, so a failed request is answered instead of
+        dropped and can be found afterwards.
+        """
+        service = self.service
+        service.metrics.counter("service.http.requests").inc()
+        self.trace_id = clean_trace_id(self.headers.get(TRACE_HEADER)) or new_trace_id()
+        try:
+            route()
+        except Exception as exc:
+            detail = f"{type(exc).__name__}: {exc}"
+            service.metrics.counter("service.http.errors").inc()
+            service.ops_log.log(
+                "http.error", trace=self.trace_id, method=self.command,
+                path=self.path, detail=detail,
+                traceback=traceback.format_exc(limit=20),
+            )
+            self._send_json(
+                500,
+                {"error": "internal", "detail": detail, "trace_id": self.trace_id},
+                headers={TRACE_HEADER: self.trace_id},
+            )
+
     def _send_json(
         self,
         status: int,
@@ -477,8 +512,16 @@ class _Handler(BaseHTTPRequestHandler):
     # Routing
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        self._guarded(self._route_get)
+
+    def do_POST(self) -> None:  # noqa: N802
+        self._guarded(self._route_post)
+
+    def do_DELETE(self) -> None:  # noqa: N802
+        self._guarded(self._route_delete)
+
+    def _route_get(self) -> None:
         service = self.service
-        service.metrics.counter("service.http.requests").inc()
         parsed = urlparse(self.path)
         path = parsed.path.rstrip("/") or "/"
         if path == "/healthz":
@@ -605,9 +648,8 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send_json(404, {"error": "not-found", "detail": rest})
 
-    def do_POST(self) -> None:  # noqa: N802
+    def _route_post(self) -> None:
         service = self.service
-        service.metrics.counter("service.http.requests").inc()
         path = urlparse(self.path).path.rstrip("/")
         if path == "/v1/postmortems/trigger":
             self._post_postmortem_trigger()
@@ -620,9 +662,7 @@ class _Handler(BaseHTTPRequestHandler):
         except (ValueError, UnicodeDecodeError) as exc:
             self._send_json(400, {"error": "bad-json", "detail": str(exc)})
             return
-        status, body, headers = service.submit_document(
-            doc, trace_id=self.headers.get(TRACE_HEADER)
-        )
+        status, body, headers = service.submit_document(doc, trace_id=self.trace_id)
         self._send_json(status, body, headers=headers)
 
     def _post_postmortem_trigger(self) -> None:
@@ -664,9 +704,8 @@ class _Handler(BaseHTTPRequestHandler):
                             "trigger": doc["trigger"]}},
         )
 
-    def do_DELETE(self) -> None:  # noqa: N802
+    def _route_delete(self) -> None:
         service = self.service
-        service.metrics.counter("service.http.requests").inc()
         path = urlparse(self.path).path.rstrip("/")
         if not path.startswith("/v1/jobs/"):
             self._send_json(404, {"error": "not-found", "detail": path})

@@ -1,20 +1,14 @@
 """Microarchitecture models: owner-tagged L1D cache and gshare predictor.
 
-These structures are *shared* between user threads and kernel SSR handlers
-running on the same core, so interference (line eviction, predictor
-retraining) is mechanistic rather than assumed.  They drive the paper's
-Figure 5 (microarchitectural effects of GPU SSRs).
+The solo steady-state calibration runs each CPU workload profile's
+sampled streams through these structures, which sets its baseline miss
+and mispredict rates (its steady-state CPI and the denominators of the
+paper's Figure 5).
 """
 
 from .branch import BranchStats, GShareBranchPredictor
 from .cache import CacheStats, SetAssociativeCache
-from .state import (
-    CoreUarchState,
-    Disturbance,
-    KERNEL_OWNER,
-    UarchConfig,
-    measure_steady_state,
-)
+from .state import UarchConfig, measure_steady_state, run_window
 from .streams import (
     AddressStreamSpec,
     BranchStreamSpec,
@@ -28,14 +22,12 @@ __all__ = [
     "BranchStats",
     "BranchStreamSpec",
     "CacheStats",
-    "CoreUarchState",
-    "Disturbance",
     "GShareBranchPredictor",
-    "KERNEL_OWNER",
     "SetAssociativeCache",
     "UarchConfig",
     "generate_addresses",
     "generate_branches",
     "measure_steady_state",
+    "run_window",
     "sequential_addresses",
 ]

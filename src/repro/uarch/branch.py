@@ -1,16 +1,15 @@
-"""A gshare dynamic branch predictor with owner-disturbance tracking.
+"""A gshare dynamic branch predictor with per-owner accounting.
 
 The predictor is a table of 2-bit saturating counters indexed by
-``PC xor global-history``.  Entries remember which owner last trained them,
-so when a kernel SSR handler's branches retrain entries that a user thread
-had warmed up, the disturbance is counted — this drives the paper's
-Figure 5b (branch misprediction increase from GPU SSRs).
+``PC xor global-history``.  The solo steady-state calibration
+(:func:`~repro.uarch.state.measure_steady_state`) drives it to measure a
+workload profile's baseline mispredict rate.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional
+from typing import List
 
 
 #: 2-bit saturating counter states.
@@ -20,19 +19,15 @@ STRONG_NOT_TAKEN, WEAK_NOT_TAKEN, WEAK_TAKEN, STRONG_TAKEN = 0, 1, 2, 3
 class BranchStats:
     """Per-owner prediction accounting."""
 
-    __slots__ = ("predictions", "mispredictions", "entries_disturbed")
+    __slots__ = ("predictions", "mispredictions")
 
     def __init__(self):
         self.predictions: Counter = Counter()
         self.mispredictions: Counter = Counter()
-        #: entries_disturbed[(a, b)] = predictor entries trained by b that a
-        #: subsequently retrained (ownership change).
-        self.entries_disturbed: Counter = Counter()
 
     def reset(self) -> None:
         self.predictions.clear()
         self.mispredictions.clear()
-        self.entries_disturbed.clear()
 
     def mispredict_rate(self, owner: str) -> float:
         total = self.predictions[owner]
@@ -51,12 +46,8 @@ class GShareBranchPredictor:
         self.history_bits = history_bits
         self._history_mask = (1 << history_bits) - 1
         self._table: List[int] = [WEAK_NOT_TAKEN] * table_size
-        self._owners: List[Optional[str]] = [None] * table_size
         self._history = 0
         self.stats = BranchStats()
-
-    def _index(self, pc: int) -> int:
-        return ((pc >> 2) ^ self._history) % self.table_size
 
     def execute(self, pc: int, taken: bool, owner: str) -> bool:
         """Predict and train on one branch; returns True if predicted right."""
@@ -79,23 +70,6 @@ class GShareBranchPredictor:
         elif counter > STRONG_NOT_TAKEN:
             table[index] = counter - 1
 
-        owners = self._owners
-        previous_owner = owners[index]
-        if previous_owner is not None and previous_owner != owner:
-            stats.entries_disturbed[(owner, previous_owner)] += 1
-        owners[index] = owner
-
         # Update global history.
         self._history = ((history << 1) | int(taken)) & self._history_mask
         return correct
-
-    def owned_entries(self, owner: str) -> int:
-        """Number of table entries last trained by ``owner``."""
-        return sum(1 for entry_owner in self._owners if entry_owner == owner)
-
-    def reset_state(self) -> None:
-        """Forget all training (e.g., deep sleep with state loss)."""
-        for i in range(self.table_size):
-            self._table[i] = WEAK_NOT_TAKEN
-            self._owners[i] = None
-        self._history = 0

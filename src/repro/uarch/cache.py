@@ -1,36 +1,29 @@
 """A set-associative, LRU, owner-tagged cache model.
 
-Lines are tagged with an *owner* string (a user thread name or ``"kernel"``).
-This lets the interference machinery measure exactly how many of a user
-thread's lines a kernel SSR handler evicted — the paper's "indirect
-overhead" (Section II-D, segment *b* of Figure 2) — without any statistical
-hand-waving: eviction here is real replacement in a real cache structure.
+Lines are tagged with an *owner* string, and hits and misses are counted
+per owner.  The solo steady-state calibration
+(:func:`~repro.uarch.state.measure_steady_state`) drives it to measure a
+workload profile's baseline L1D miss rate.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 
 class CacheStats:
-    """Per-owner hit/miss/eviction accounting."""
+    """Per-owner hit/miss accounting."""
 
-    __slots__ = ("hits", "misses", "evictions_suffered", "evictions_caused")
+    __slots__ = ("hits", "misses")
 
     def __init__(self):
         self.hits: Counter = Counter()
         self.misses: Counter = Counter()
-        #: evictions_suffered[x] = lines owned by x that someone evicted
-        self.evictions_suffered: Counter = Counter()
-        #: evictions_caused[(a, b)] = lines of b evicted by accesses from a
-        self.evictions_caused: Counter = Counter()
 
     def reset(self) -> None:
         self.hits.clear()
         self.misses.clear()
-        self.evictions_suffered.clear()
-        self.evictions_caused.clear()
 
     def miss_rate(self, owner: str) -> float:
         """Miss rate for ``owner`` over everything recorded so far."""
@@ -74,19 +67,13 @@ class SetAssociativeCache:
         """Capacity of the cache in bytes."""
         return self.total_lines * self.line_size
 
-    def _index_tag(self, address: int) -> Tuple[int, int]:
-        line = address // self.line_size
-        return line % self.num_sets, line // self.num_sets
-
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
     def access(self, address: int, owner: str) -> bool:
         """Access ``address`` on behalf of ``owner``; returns True on a hit.
 
-        On a miss the line is installed with LRU replacement; if a victim
-        belonging to a *different* owner is evicted, the disturbance is
-        recorded in :attr:`stats`.
+        On a miss the line is installed with LRU replacement.
         """
         self._clock = clock = self._clock + 1
         line = address >> self._line_shift
@@ -116,8 +103,6 @@ class SetAssociativeCache:
                     victim_owner = candidate[0]
             del cache_set[victim_tag]
             self._occupancy[victim_owner] -= 1
-            stats.evictions_suffered[victim_owner] += 1
-            stats.evictions_caused[(owner, victim_owner)] += 1
         cache_set[tag] = [owner, clock]
         self._occupancy[owner] += 1
         return False
@@ -125,27 +110,3 @@ class SetAssociativeCache:
     def occupancy(self, owner: str) -> int:
         """Number of lines currently owned by ``owner``."""
         return self._occupancy[owner]
-
-    def resident_owners(self) -> Dict[str, int]:
-        """Snapshot of line counts per owner (non-zero entries only)."""
-        return {o: n for o, n in self._occupancy.items() if n > 0}
-
-    def flush(self) -> int:
-        """Invalidate everything (e.g., on CC6 entry); returns lines dropped."""
-        dropped = sum(self._occupancy.values())
-        for cache_set in self._sets:
-            cache_set.clear()
-        self._occupancy.clear()
-        return dropped
-
-    def evict_owner(self, owner: str) -> int:
-        """Invalidate all lines of one owner (e.g., on thread exit)."""
-        dropped = 0
-        for cache_set in self._sets:
-            doomed = [tag for tag, entry in cache_set.items() if entry[0] == owner]
-            for tag in doomed:
-                del cache_set[tag]
-                dropped += 1
-        if dropped:
-            self._occupancy[owner] -= dropped
-        return dropped

@@ -1,30 +1,21 @@
-"""Per-core microarchitectural state and the pollution API.
+"""Structure geometry and the solo steady-state calibration.
 
-Each simulated CPU core owns a :class:`CoreUarchState`: an L1D cache model
-and a branch predictor.  User threads and kernel SSR handlers push their
-(sampled) streams through these *shared* structures, so kernel handlers
-genuinely evict user lines and retrain user predictor entries.  The core
-model converts the resulting disturbance counts into stall cycles.
+:func:`measure_steady_state` runs one workload profile's sampled address
+and branch streams alone through a real L1D cache and branch predictor,
+so each app's baseline miss and mispredict rates (its steady-state CPI and
+Fig. 5's denominators) are mechanistic.  The per-run pollution charge of
+SSR handlers is analytic instead: see ``Core.charge_kernel_footprint``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .branch import GShareBranchPredictor
 from .cache import SetAssociativeCache
-from .streams import (
-    AddressStreamSpec,
-    BranchStreamSpec,
-    _randbelow,
-    generate_addresses,
-    generate_branches,
-)
-
-#: Owner tag used by all kernel-mode execution.
-KERNEL_OWNER = "kernel"
+from .streams import AddressStreamSpec, BranchStreamSpec, _randbelow
 
 
 @dataclass(frozen=True)
@@ -48,122 +39,43 @@ class UarchConfig:
         return GShareBranchPredictor(self.predictor_entries, self.history_bits)
 
 
-@dataclass
-class Disturbance:
-    """What one kernel window did to a given user owner's state."""
+def run_window(
+    l1d: SetAssociativeCache,
+    predictor: GShareBranchPredictor,
+    rng: Random,
+    owner: str,
+    addr_spec: AddressStreamSpec,
+    branch_spec: BranchStreamSpec,
+    accesses: int,
+    branches: int,
+) -> Tuple[int, int]:
+    """Run a sampled window through the structures; returns (misses, mispredicts).
 
-    lines_evicted: int = 0
-    entries_retrained: int = 0
-
-
-class CoreUarchState:
-    """The cache + predictor pair of one core, with disturbance accounting."""
-
-    def __init__(self, config: UarchConfig, rng: Random):
-        self.config = config
-        self.l1d = config.make_cache()
-        self.predictor = config.make_predictor()
-        self._rng = rng
-
-    # ------------------------------------------------------------------
-    # Stream execution
-    # ------------------------------------------------------------------
-    def run_user_window(
-        self,
-        owner: str,
-        addr_spec: AddressStreamSpec,
-        branch_spec: BranchStreamSpec,
-        accesses: int,
-        branches: int,
-    ) -> Tuple[int, int]:
-        """Run a sampled user window; returns (misses, mispredicts).
-
-        The loops below are :func:`~repro.uarch.streams.generate_addresses`
-        and :func:`~repro.uarch.streams.generate_branches` fused inline —
-        same draws in the same order from the same RNG, without paying a
-        generator resume per access on the simulator's hottest path.
-        """
-        rng = self._rng
-        random = rng.random
-        randbelow = _randbelow(rng)
-        access = self.l1d.access
-        hot_lines = max(1, int(addr_spec.lines * addr_spec.hot_fraction))
-        base, lines = addr_spec.base, addr_spec.lines
-        hot_rate, line_size = addr_spec.hot_rate, addr_spec.line_size
-        misses = 0
-        for _ in range(accesses):
-            line = randbelow(hot_lines) if random() < hot_rate else randbelow(lines)
-            if not access(base + line * line_size, owner):
-                misses += 1
-        execute = self.predictor.execute
-        base_pc, sites, bias = branch_spec.base_pc, branch_spec.sites, branch_spec.bias
-        mispredicts = 0
-        for _ in range(branches):
-            site = randbelow(sites)
-            majority = (site & 1) == 0
-            taken = majority if random() < bias else not majority
-            if not execute(base_pc + site * 4, taken, owner):
-                mispredicts += 1
-        return misses, mispredicts
-
-    def run_kernel_window(
-        self,
-        addr_spec: AddressStreamSpec,
-        branch_spec: BranchStreamSpec,
-        accesses: int,
-        branches: int,
-    ) -> Dict[str, Disturbance]:
-        """Run a kernel handler's stream; returns per-victim disturbance.
-
-        The handler's accesses evict whoever is resident; the returned map
-        tells the core model how many lines/entries each *user* owner lost
-        to this window, so the cost can be charged when that owner resumes.
-        """
-        cache_stats = self.l1d.stats
-        branch_stats = self.predictor.stats
-        evictions_before = dict(cache_stats.evictions_caused)
-        retrains_before = dict(branch_stats.entries_disturbed)
-
-        # Same fused stream loops as run_user_window (identical RNG order).
-        rng = self._rng
-        random = rng.random
-        randbelow = _randbelow(rng)
-        access = self.l1d.access
-        hot_lines = max(1, int(addr_spec.lines * addr_spec.hot_fraction))
-        base, lines = addr_spec.base, addr_spec.lines
-        hot_rate, line_size = addr_spec.hot_rate, addr_spec.line_size
-        for _ in range(accesses):
-            line = randbelow(hot_lines) if random() < hot_rate else randbelow(lines)
-            access(base + line * line_size, KERNEL_OWNER)
-        execute = self.predictor.execute
-        base_pc, sites, bias = branch_spec.base_pc, branch_spec.sites, branch_spec.bias
-        for _ in range(branches):
-            site = randbelow(sites)
-            majority = (site & 1) == 0
-            taken = majority if random() < bias else not majority
-            execute(base_pc + site * 4, taken, KERNEL_OWNER)
-
-        disturbances: Dict[str, Disturbance] = {}
-        for (source, victim), count in cache_stats.evictions_caused.items():
-            if source != KERNEL_OWNER or victim == KERNEL_OWNER:
-                continue
-            delta = count - evictions_before.get((source, victim), 0)
-            if delta > 0:
-                disturbances.setdefault(victim, Disturbance()).lines_evicted += delta
-        for (source, victim), count in branch_stats.entries_disturbed.items():
-            if source != KERNEL_OWNER or victim == KERNEL_OWNER:
-                continue
-            delta = count - retrains_before.get((source, victim), 0)
-            if delta > 0:
-                disturbances.setdefault(victim, Disturbance()).entries_retrained += delta
-        return disturbances
-
-    # ------------------------------------------------------------------
-    # Sleep-state interaction
-    # ------------------------------------------------------------------
-    def flush_for_deep_sleep(self) -> int:
-        """CC6 entry flushes the cache (its amortization cost in the paper)."""
-        return self.l1d.flush()
+    The loops below are :func:`~repro.uarch.streams.generate_addresses`
+    and :func:`~repro.uarch.streams.generate_branches` fused inline: the
+    same draws in the same order from the same RNG.
+    """
+    random = rng.random
+    randbelow = _randbelow(rng)
+    access = l1d.access
+    hot_lines = max(1, int(addr_spec.lines * addr_spec.hot_fraction))
+    base, lines = addr_spec.base, addr_spec.lines
+    hot_rate, line_size = addr_spec.hot_rate, addr_spec.line_size
+    misses = 0
+    for _ in range(accesses):
+        line = randbelow(hot_lines) if random() < hot_rate else randbelow(lines)
+        if not access(base + line * line_size, owner):
+            misses += 1
+    execute = predictor.execute
+    base_pc, sites, bias = branch_spec.base_pc, branch_spec.sites, branch_spec.bias
+    mispredicts = 0
+    for _ in range(branches):
+        site = randbelow(sites)
+        majority = (site & 1) == 0
+        taken = majority if random() < bias else not majority
+        if not execute(base_pc + site * 4, taken, owner):
+            mispredicts += 1
+    return misses, mispredicts
 
 
 def measure_steady_state(
@@ -180,14 +92,16 @@ def measure_steady_state(
     Used once per workload profile (results are cached by the caller) to
     derive the *baseline* CPI against which interference is charged.
     """
-    state = CoreUarchState(config, Random(seed))
+    l1d, predictor, rng = config.make_cache(), config.make_predictor(), Random(seed)
     owner = "probe"
-    # Warm-up phase.
-    state.run_user_window(owner, addr_spec, branch_spec, warmup_accesses, warmup_accesses // 2)
-    state.l1d.stats.reset()
-    state.predictor.stats.reset()
-    # Measurement phase.
-    state.run_user_window(owner, addr_spec, branch_spec, sample_accesses, sample_accesses // 2)
-    miss_rate = state.l1d.stats.miss_rate(owner)
-    mispredict_rate = state.predictor.stats.mispredict_rate(owner)
-    return miss_rate, mispredict_rate
+    run_window(
+        l1d, predictor, rng, owner, addr_spec, branch_spec,
+        warmup_accesses, warmup_accesses // 2,
+    )
+    l1d.stats.reset()
+    predictor.stats.reset()
+    run_window(
+        l1d, predictor, rng, owner, addr_spec, branch_spec,
+        sample_accesses, sample_accesses // 2,
+    )
+    return l1d.stats.miss_rate(owner), predictor.stats.mispredict_rate(owner)

@@ -1,10 +1,9 @@
 """CPU application threads built from statistical profiles.
 
 A :class:`CpuApp` spawns one :class:`CpuAppThread` per profile thread.
-Threads compute in chunks, optionally barrier-synchronize, optionally
-think (off-CPU) between chunks, and keep their cache/predictor footprint
-resident via sampled windows so kernel SSR handlers have real state to
-evict.
+Threads compute in chunks, optionally barrier-synchronize, and optionally
+think (off-CPU) between chunks.  Each thread's share of the core's L1D and
+predictor sets how much a kernel SSR handler's footprint costs it.
 
 The app's *performance* is total retired instructions over the measured
 horizon — productive time divided by the profile's solo steady-state CPI —
@@ -13,20 +12,15 @@ which is exactly what the paper's normalized-performance bars compare.
 
 from __future__ import annotations
 
-import itertools
 from typing import Generator, List, Optional, TYPE_CHECKING
 
 from ..oskernel.thread import KIND_USER, PRIO_NORMAL, Thread
 from .barrier import Barrier
-from .calibration import SteadyState, address_spec_for, branch_spec_for, steady_state_for
+from .calibration import SteadyState, steady_state_for
 from .profiles import CpuAppProfile
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..oskernel.cpu import Core
     from ..oskernel.kernel import Kernel
-
-#: Global owner-index allocator so every thread gets a distinct address region.
-_owner_counter = itertools.count(1)
 
 
 class CpuAppThread(Thread):
@@ -49,11 +43,8 @@ class CpuAppThread(Thread):
         self.index = index
         self.barrier = barrier
         self.duty = app.profile.thread_duty[index]
-        owner_index = next(_owner_counter)
         uarch = kernel.config.cpu.uarch
-        self.addr_spec = address_spec_for(app.profile, owner_index, uarch.line_size)
-        self.branch_spec = branch_spec_for(app.profile, owner_index)
-        # Analytic pollution-charge parameters (see Core._run_kernel_window):
+        # Analytic pollution-charge parameters (see Core.charge_footprint):
         # how much of the shared structures this thread keeps warm, and how
         # likely an evicted line/entry was going to be reused.
         profile = app.profile
@@ -62,10 +53,6 @@ class CpuAppThread(Thread):
         self.cache_coverage = min(1.0, hot_lines / cache_lines)
         self.predictor_coverage = min(1.0, profile.branch_sites / uarch.predictor_entries)
         self.reuse_probability = profile.hot_rate
-
-    def on_segment_start(self, core: "Core") -> None:
-        """Keep this thread's footprint resident on its core (rate-capped)."""
-        core.run_user_window(self.name, self.addr_spec, self.branch_spec)
 
     def body(self) -> Generator:
         profile = self.app.profile
@@ -155,22 +142,3 @@ class CpuApp:
         branches = self.instructions_retired * self.profile.bpki / 1000.0
         baseline = max(self.baseline_mispredicts, branches * self.RATE_FLOOR)
         return self.extra_mispredicts / baseline if baseline else 0.0
-
-    def measured_uarch_rates(self) -> "tuple[float, float]":
-        """(L1D miss rate, branch mispredict rate) actually observed by this
-        app's sampled windows across all cores — the simulation's analog of
-        reading hardware performance counters (used for Fig. 5)."""
-        hits = misses = 0
-        predictions = mispredictions = 0
-        names = {thread.name for thread in self.threads}
-        for core in self.kernel.cores:
-            cache_stats = core.uarch.l1d.stats
-            branch_stats = core.uarch.predictor.stats
-            for name in names:
-                hits += cache_stats.hits[name]
-                misses += cache_stats.misses[name]
-                predictions += branch_stats.predictions[name]
-                mispredictions += branch_stats.mispredictions[name]
-        miss_rate = misses / (hits + misses) if (hits + misses) else 0.0
-        mispredict_rate = mispredictions / predictions if predictions else 0.0
-        return miss_rate, mispredict_rate

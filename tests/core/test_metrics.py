@@ -1,8 +1,10 @@
 """Unit tests for metric containers and aggregation."""
 
+import math
+
 import pytest
 
-from repro.core.metrics import CpuAppMetrics, GpuMetrics, SystemMetrics, geomean
+from repro.core.metrics import CpuAppMetrics, GpuMetrics, SystemMetrics, geomean, ratio
 
 
 def _gpu(name="sssp", progress=1000.0, completed=10):
@@ -50,6 +52,17 @@ class TestGeomean:
 
     def test_empty(self):
         assert geomean([]) == 0.0
+
+    def test_undefined_value_makes_mean_undefined(self):
+        assert math.isnan(geomean([2.0, math.nan, 8.0]))
+
+
+class TestRatio:
+    def test_defined(self):
+        assert ratio(3.0, 4.0) == 0.75
+
+    def test_zero_reference_is_undefined(self):
+        assert math.isnan(ratio(3.0, 0.0))
 
 
 class TestGpuMetrics:

@@ -5,10 +5,13 @@ normalization identities, aggregate rows — on minimal workload grids.
 The paper-shape assertions live in benchmarks/ and tests/integration/.
 """
 
+import math
+
 import pytest
 
 from repro.core.experiment import clear_cache
 from repro.experiments import run_experiment
+from repro.experiments.run_all import experiment_kwargs
 
 H = 6_000_000
 CPUS = ["swaptions", "raytrace"]
@@ -48,6 +51,19 @@ class TestFig3b:
         for row in result.rows:
             for value in row[1:]:
                 assert 0.3 < value < 1.5
+
+    def test_gpu_without_idle_progress_is_undefined(self):
+        # At 2 ms bfs makes no progress even next to idle CPUs, so its
+        # cells have no reference: NaN, printed n/a, and so is its gmean.
+        result = run_experiment(
+            "fig3b", **experiment_kwargs("fig3b", quick=True, horizon_ms=2.0)
+        )
+        assert all(math.isnan(value) for value in result.column("bfs"))
+        for gpu_name in ("sssp", "xsbench", "ubench"):
+            assert all(0.3 < value < 1.5 for value in result.column(gpu_name))
+        lines = result.render().splitlines()
+        assert lines[3].split()[:2] == ["blackscholes", "n/a"]
+        assert lines[-2].split()[:2] == ["gmean", "n/a"]
 
 
 class TestFig4:

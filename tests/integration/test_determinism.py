@@ -16,36 +16,18 @@ def run_once(seed=42):
     return system.run(HORIZON)
 
 
-def fingerprint(metrics):
-    return (
-        metrics.cpu_app.instructions,
-        metrics.cpu_app.pollution_stall_ns,
-        metrics.gpu.progress_ns,
-        metrics.gpu.faults_issued,
-        metrics.cc6_residency,
-        tuple(metrics.interrupts_per_core),
-        metrics.ipis,
-        metrics.ssr_time_ns,
-        metrics.context_switches,
-    )
-
-
 class TestDeterminism:
     def test_identical_runs_identical_results(self):
-        assert fingerprint(run_once()) == fingerprint(run_once())
+        assert run_once().as_dict() == run_once().as_dict()
 
-    def test_different_seed_different_sampled_stats(self):
-        # Macro quantities are seed-robust; the sampled uarch telemetry
-        # (the hardware-counter analog) is where seed variation shows.
-        a = run_once(seed=1)
-        b = run_once(seed=2)
-        assert (
-            a.cpu_app.measured_l1_miss_rate != b.cpu_app.measured_l1_miss_rate
-            or a.cpu_app.measured_mispredict_rate != b.cpu_app.measured_mispredict_rate
-        )
+    def test_seed_does_not_change_shipped_results(self):
+        # The only random draw left in a run rounds the GPU's fault count
+        # per chunk, and every shipped GPU profile's faults_per_chunk is
+        # integral, so the draw never changes the count.
+        assert run_once(seed=1).as_dict() == run_once(seed=2).as_dict()
 
     def test_different_seed_similar_aggregates(self):
-        """Seeds change micro-details, not the macro story."""
+        """Macro quantities are seed-robust."""
         a = run_once(seed=1)
         b = run_once(seed=2)
         assert a.cpu_app.instructions == pytest.approx(

@@ -25,14 +25,6 @@ class TestSleepEntry:
         kernel.env.run(until=3_000_000)
         assert not kernel.cores[0].is_sleeping
 
-    def test_cache_flushed_on_entry(self, kernel):
-        core = kernel.cores[0]
-        core.uarch.l1d.access(0x1000, "someone")
-        assert core.uarch.l1d.occupancy("someone") == 1
-        kernel.env.run(until=2_000_000)
-        assert core.is_sleeping
-        assert core.uarch.l1d.occupancy("someone") == 0
-
 
 class TestWakeup:
     def test_irq_wakes_sleeping_core(self, kernel):

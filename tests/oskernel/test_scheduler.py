@@ -13,6 +13,16 @@ from repro.oskernel.thread import (
 from .conftest import BusyThread
 
 
+def _user_cores(kernel):
+    """Cores that accounted any USER time (the test's thread is the only
+    user thread, so these are exactly the cores it ran segments on)."""
+    return {
+        core.id
+        for core in kernel.cores
+        if kernel.accounting.core_mode(core.id, acct.USER) > 0
+    }
+
+
 class TestPlacement:
     def test_threads_spread_across_cores(self, kernel):
         threads = [
@@ -27,21 +37,17 @@ class TestPlacement:
             BusyThread(kernel, "pinned", 100_000, sleep_ns=50_000, iterations=20,
                        pinned_core=2)
         )
-        seen = set()
-
-        original = thread.on_segment_start
-        thread.on_segment_start = lambda core: seen.add(core.id)
         kernel.env.run(until=10_000_000)
-        assert seen == {2}
+        assert thread.loops_done == 20
+        assert _user_cores(kernel) == {2}
 
     def test_affinity_keeps_thread_on_last_core(self, kernel):
         thread = kernel.spawn(
             BusyThread(kernel, "sticky", 200_000, sleep_ns=100_000, iterations=10)
         )
-        seen = set()
-        thread.on_segment_start = lambda core: seen.add(core.id)
         kernel.env.run(until=10_000_000)
-        assert len(seen) == 1
+        assert thread.loops_done == 10
+        assert len(_user_cores(kernel)) == 1
 
     def test_kthread_rotation_visits_all_cores(self, kernel):
         """Wake-balance rotation drags kthreads across every core — the

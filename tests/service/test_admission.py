@@ -8,16 +8,7 @@ import pytest
 
 from repro.service import AdmissionController, RejectedJob, ServiceGovernor
 
-
-class FakeClock:
-    def __init__(self, start=1000.0):
-        self.now = start
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
+from .conftest import FakeClock
 
 
 def make_governor(clock, **overrides):
@@ -144,3 +135,20 @@ class TestAdmissionController:
         assert excinfo.value.reason == "qos-backpressure"
         assert admission.rejected_backpressure == 1
         assert admission.depth() == 0
+
+    def test_job_that_simulates_nothing_skips_governor_not_queue(self):
+        clock = FakeClock()
+        governor = make_governor(clock, threshold=0.0)
+        governor.note_busy(5.0)
+        clock.advance(10.0)
+        admission = AdmissionController(queue_limit=2, governor=governor)
+        admission.try_admit("cached-a", simulates=False)
+        admission.try_admit("cached-b", simulates=False)
+        assert admission.depth() == 2
+        assert governor.throttle_events == 0
+        with pytest.raises(RejectedJob) as excinfo:
+            admission.try_admit("cached-c", simulates=False)
+        assert excinfo.value.reason == "queue-full"
+        with pytest.raises(RejectedJob) as excinfo:
+            admission.try_admit("new-work")
+        assert excinfo.value.reason == "qos-backpressure"

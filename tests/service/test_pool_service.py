@@ -24,6 +24,8 @@ from repro.service.admission import AdmissionController, ServiceGovernor
 from repro.service.scheduler import dedupe_key_for, plan_spec
 from repro.telemetry import MetricsRegistry
 
+from .conftest import FakeClock
+
 HORIZON = 1_000_000
 BOGUS_KEY = make_run_key("not-a-real-app", "bfs", True, SystemConfig(), HORIZON)
 
@@ -89,20 +91,54 @@ class TestBatchCrashIsolation:
         assert metrics.counter("service.jobs.completed").value == 1
 
     def test_prediction_charged_to_governor_before_execution(self):
+        model = set_cost_ledger(None)
+        model.observe(make_run_key("x264", "bfs", True, SystemConfig(), HORIZON), 0.05)
         governor = ServiceGovernor(threshold=10.0, capacity_cores=2)
         store, scheduler, _ = make_scheduler(governor=governor)
         spec = fig4_spec()
         run_keys, _ = plan_spec(spec)
         job = submit(store, spec, run_keys, dedupe_key_for(spec, run_keys))
+        predicted = sum(model.predict(key) for key in run_keys)
 
         scheduler._run_batch([job.id])
 
         assert job.state == DONE
-        # The cost model priced the pending keys and the scheduler
-        # charged that estimate up front (it is a lifetime total, so it
-        # survives the post-batch true-up).
-        assert governor.predicted_core_s > 0.0
+        # A model with an observation priced the pending keys and the
+        # scheduler charged that estimate up front (a lifetime total, so
+        # it survives the post-batch true-up).
+        assert governor.predicted_core_s == pytest.approx(predicted)
         assert governor.snapshot()["predicted_core_s"] == governor.predicted_core_s
+
+    def test_unobserved_model_charges_only_actual_work(self):
+        model = set_cost_ledger(None)
+        assert model.observations == 0
+        clock = FakeClock()
+        governor = ServiceGovernor(
+            threshold=10.0, capacity_cores=2, sample_period_s=1.0, window_s=1.0,
+            clock=clock,
+        )
+        store, scheduler, _ = make_scheduler(governor=governor)
+        spec = fig4_spec()
+        run_keys, _ = plan_spec(spec)
+        job = submit(store, spec, run_keys, dedupe_key_for(spec, run_keys))
+        records = []
+        scheduler.ops_log.tee = records.append
+
+        scheduler._run_batch([job.id])
+
+        assert job.state == DONE
+        # Nothing was charged up front: the default prior is a guess.
+        assert governor.predicted_core_s == 0.0
+        # The post-batch residual charged the measured execution in full.
+        (executed,) = [r for r in records if r["event"] == "batch.executed"]
+        assert executed["runs"] == len(run_keys)
+        clock.advance(1.0)
+        used = min(2, executed["runs"])
+        assert governor.snapshot()["fraction"] == pytest.approx(
+            executed["execute_s"] * used / (1.0 * 2)
+        )
+        # ... and the model has now observed every run it executed.
+        assert model.observations == len(run_keys)
 
     def test_note_predicted_rejects_negative(self):
         governor = ServiceGovernor()

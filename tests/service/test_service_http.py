@@ -20,7 +20,9 @@ from pathlib import Path
 import pytest
 
 from repro.core import clear_cache, set_disk_cache
-from repro.service import HissService, ServiceClient, ServiceRejected
+from repro.service import HissService, ServiceClient, ServiceGovernor, ServiceRejected
+
+from .conftest import FakeClock
 
 #: Small but non-trivial: fig4 --quick at 1 ms plans 8 unique runs.
 SPEC = {"experiments": ["fig4"], "quick": True, "horizon_ms": 1.0}
@@ -33,6 +35,28 @@ def isolated_caches():
     yield
     clear_cache()
     set_disk_cache(None)
+
+
+def install_fake_clock_governor(svc):
+    """Swap a FakeClock-driven twin of ``svc``'s governor into the service.
+
+    The governor resamples from its clock, so a test that advances the
+    clock by hand decides exactly which utilization sample admission sees,
+    however long the host takes to simulate.
+    """
+    clock = FakeClock()
+    old = svc.governor
+    governor = ServiceGovernor(
+        threshold=old.threshold,
+        capacity_cores=old.capacity_cores,
+        sample_period_s=old.sample_period_s,
+        window_s=old.window_s,
+        initial_delay_s=old.initial_delay_s,
+        max_delay_s=old.max_delay_s,
+        clock=clock,
+    )
+    svc.governor = svc.admission.governor = svc.scheduler.governor = governor
+    return governor, clock
 
 
 @contextmanager
@@ -115,9 +139,10 @@ class TestEndToEnd:
         with service(
             qos_threshold=0.0, qos_sample_period_s=0.01, qos_window_s=0.01
         ) as (svc, client):
+            governor, clock = install_fake_clock_governor(svc)
             first = client.submit(**_spec_args(SPEC))
             assert client.wait(first["job"]["id"], timeout_s=120)["state"] == "done"
-            time.sleep(0.05)  # let the governor sample the burst's window
+            clock.advance(1.0)  # the next gate samples the burst's window
             delays = []
             for horizon in (2.0, 3.0, 4.0):  # distinct work, so no dedupe
                 with pytest.raises(ServiceRejected) as excinfo:
@@ -127,7 +152,34 @@ class TestEndToEnd:
             # The Fig. 11 shape: refusals double the advertised delay.
             assert delays[1] == pytest.approx(delays[0] * 2)
             assert delays[2] == pytest.approx(delays[1] * 2)
-            assert svc.governor.throttle_events >= 3
+            assert governor.throttle_events == 3
+
+    def test_cache_served_job_skips_backpressure(self):
+        with service(
+            qos_threshold=0.0, qos_sample_period_s=0.01, qos_window_s=0.01
+        ) as (svc, client):
+            governor, clock = install_fake_clock_governor(svc)
+            first = client.submit(**_spec_args(SPEC))
+            assert client.wait(first["job"]["id"], timeout_s=120)["state"] == "done"
+            clock.advance(1.0)
+            assert governor.over_threshold
+            client.evict(first["job"]["id"])  # forget the twin, keep the cache
+            cached = client.submit(**_spec_args(SPEC))
+            assert cached["deduplicated"] is False
+            doc = client.wait(cached["job"]["id"], timeout_s=120)
+            assert doc["state"] == "done" and doc["runs_executed"] == 0
+            # Work that simulates still meets the governor: uncached runs,
+            # a serial-only experiment (table1 probes Systems directly), and
+            # a profiled job, which re-simulates its cached runs.
+            for args in (
+                {"experiments": ["fig4"], "quick": True, "horizon_ms": 2.0},
+                {"experiments": ["table1"]},
+                dict(_spec_args(SPEC), profile=True),
+            ):
+                with pytest.raises(ServiceRejected) as excinfo:
+                    client.submit(**args)
+                assert excinfo.value.reason == "qos-backpressure"
+            assert governor.throttle_events == 3
 
     def test_graceful_shutdown_drains_queued_jobs(self):
         with service(queue_limit=8) as (svc, client):
@@ -218,6 +270,41 @@ class TestApiSurface:
             text = client.metrics(text=True)
             assert "service.jobs.completed 1" in text
             assert "service.queue.depth" in text
+
+    def test_handler_exception_is_json_500_with_trace_id(self, monkeypatch):
+        import repro.service.server as server
+
+        def broken_plan(spec):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(server, "plan_spec", broken_plan)
+        with service() as (svc, client):
+            records = []
+            svc.ops_log.tee = records.append
+            request = urllib.request.Request(
+                svc.url + "/v1/jobs",
+                data=json.dumps(SPEC).encode(),
+                headers={"Content-Type": "application/json",
+                         "X-Hiss-Trace-Id": "00c0ffee00c0ffee"},
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10)
+            error = excinfo.value
+            assert error.code == 500
+            assert error.headers["X-Hiss-Trace-Id"] == "00c0ffee00c0ffee"
+            body = json.loads(error.read())
+            assert body == {
+                "error": "internal",
+                "detail": "ZeroDivisionError: float division by zero",
+                "trace_id": "00c0ffee00c0ffee",
+            }
+            (logged,) = [r for r in records if r["event"] == "http.error"]
+            assert logged["trace"] == "00c0ffee00c0ffee"
+            assert "broken_plan" in logged["traceback"]
+            # The connection survived; the server still answers.
+            assert client.health()["status"] == "ok"
+            assert client.metrics()["counters"]["service.http.errors"] == 1
 
     def test_jobs_listing(self):
         with service() as (svc, client):

@@ -66,14 +66,6 @@ class TestLruReplacement:
         assert cache.access(a, "x") is True
         assert cache.access(b, "x") is False  # b was the victim
 
-    def test_eviction_records_victim_owner(self, cache):
-        set_stride = 4 * 64
-        cache.access(0, "victim")
-        cache.access(set_stride, "victim")
-        cache.access(2 * set_stride, "attacker")
-        assert cache.stats.evictions_suffered["victim"] == 1
-        assert cache.stats.evictions_caused[("attacker", "victim")] == 1
-
     def test_occupancy_tracks_eviction(self, cache):
         set_stride = 4 * 64
         cache.access(0, "a")
@@ -85,27 +77,6 @@ class TestLruReplacement:
 
 
 class TestMaintenance:
-    def test_flush_empties_cache(self, cache):
-        for i in range(8):
-            cache.access(i * 64, "a")
-        dropped = cache.flush()
-        assert dropped == 8
-        assert cache.occupancy("a") == 0
-        assert cache.access(0, "a") is False
-
-    def test_evict_owner_is_selective(self, cache):
-        cache.access(0, "a")
-        cache.access(64, "b")
-        dropped = cache.evict_owner("a")
-        assert dropped == 1
-        assert cache.occupancy("a") == 0
-        assert cache.access(64, "b") is True
-
-    def test_resident_owners_snapshot(self, cache):
-        cache.access(0, "a")
-        cache.access(64, "b")
-        assert cache.resident_owners() == {"a": 1, "b": 1}
-
     def test_stats_reset(self, cache):
         cache.access(0, "a")
         cache.stats.reset()

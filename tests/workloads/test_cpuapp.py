@@ -65,12 +65,6 @@ class TestCpuApp:
 
 
 class TestMetrics:
-    def test_measured_rates_are_probabilities(self):
-        _system, app = run_app(parsec("fluidanimate"))
-        miss, mispredict = app.measured_uarch_rates()
-        assert 0.0 <= miss <= 1.0
-        assert 0.0 <= mispredict <= 1.0
-
     def test_increase_metrics_zero_without_ssrs(self):
         _system, app = run_app(parsec("x264"))
         assert app.l1_miss_increase() == 0.0
