@@ -13,7 +13,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .uarch.state import UarchConfig
 

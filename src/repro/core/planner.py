@@ -12,12 +12,10 @@ serial sweep into a three-phase pipeline:
 2. **Execute** — the unique, not-yet-cached keys are dispatched
    longest-predicted-first (see
    :class:`~repro.core.runcache.CostModel`) onto the persistent warm
-   worker pool (:mod:`repro.core.pool`) — or a cold per-batch
-   ``ProcessPoolExecutor`` when the pool is disabled.  Workers run the
-   exact same :func:`~repro.core.experiment.simulate_run` as the serial
-   path, so results are bit-for-bit identical regardless of backend or
-   dispatch order; the parent stores each result in both cache levels
-   as it arrives.  A key that fails — worker exception or worker death
+   worker pool (:mod:`repro.core.pool`).  Workers run the exact same
+   :func:`~repro.core.experiment.simulate_run` as the serial path, so
+   results are bit-for-bit identical regardless of dispatch order; the
+   parent stores each result in both cache levels as it arrives.  A key that fails — worker exception or worker death
    — is recorded in ``PrewarmReport.failed`` and the rest of the batch
    completes.
 3. **Replay** — the caller runs the experiments normally; every
@@ -35,18 +33,11 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import experiment as _experiment
-from .pool import (
-    order_longest_first,
-    run_label,
-    run_task,
-    shared_pool,
-    warm_pool_enabled,
-)
+from .pool import order_longest_first, run_label, run_task, shared_pool
 from .runcache import RunKey, cost_model
 
 #: Ring capacity of each worker's private tracer (events per run).
@@ -80,7 +71,7 @@ class PrewarmReport:
     #: reported to the service governor *before* execution.
     predicted_core_s: float = 0.0
     #: Warm-pool stats snapshot taken after the batch (empty when the
-    #: batch ran serially or on a cold pool).
+    #: batch ran in-process).
     pool: Dict[str, float] = field(default_factory=dict)
 
     def summary(self) -> str:
@@ -146,24 +137,6 @@ def plan_runs(
     return ordered, skipped
 
 
-def _timed_task(
-    key: RunKey,
-    trace_capacity: int,
-    span_context: Optional[dict] = None,
-    profile: bool = False,
-    events_limit: Optional[int] = None,
-):
-    """Cold-pool worker entry: :func:`~repro.core.pool.run_task`, timed.
-
-    The warm pool times tasks in its own worker loop; the cold
-    ``ProcessPoolExecutor`` path wraps the same task so both backends
-    feed the cost model identically.
-    """
-    begin = time.perf_counter()
-    payload = run_task(key, trace_capacity, span_context, profile, events_limit)
-    return payload, time.perf_counter() - begin
-
-
 def _merge_worker_trace(tracer, label: str, events) -> None:
     """Re-emit a worker's events under per-run track names."""
     from ..telemetry.tracer import TraceEvent
@@ -194,8 +167,6 @@ def execute_runs(
     on_run: Optional[Callable[[RunKey, Optional[list], Optional[dict]], None]] = None,
     profile_keys: Optional[set] = None,
     collector=None,
-    warm: Optional[bool] = None,
-    pool=None,
     events_per_run: Optional[int] = None,
 ) -> PrewarmReport:
     """Simulate ``keys`` on a worker pool, filling both cache levels.
@@ -204,12 +175,11 @@ def execute_runs(
     are ordered longest-predicted-first by the cost model (the batch
     makespan is then bounded by the longest run, not an unlucky tail)
     and the batch estimate lands in ``report.predicted_core_s`` before
-    anything executes.  With ``jobs == 1`` the runs execute in-process
-    (no pool), which keeps the serial path free of multiprocessing
-    machinery; otherwise they go to the process-wide *warm* pool
-    (:func:`~repro.core.pool.shared_pool` — spawned once, reused across
-    batches) unless ``warm=False``, ``HISS_POOL=cold``, or an explicit
-    ``pool`` chooses the backend.  Each backend runs the identical
+    anything executes.  With ``jobs == 1`` (or a single pending run) the
+    runs execute in-process, which keeps the serial path free of
+    multiprocessing machinery; otherwise they go to the process-wide
+    warm pool (:func:`~repro.core.pool.shared_pool` — spawned once,
+    reused across batches).  Both run the identical
     :func:`~repro.core.pool.run_task`, so results are byte-for-byte the
     same whichever dispatched them.
 
@@ -251,8 +221,6 @@ def execute_runs(
     report.predicted_core_s = sum(model.predict(key) for key in pending)
 
     capture = trace_capacity if tracer is not None and tracer.enabled else 0
-    if warm is None:
-        warm = warm_pool_enabled()
 
     def context_for(key: RunKey) -> Optional[dict]:
         return span_context_for(key) if span_context_for is not None else None
@@ -271,7 +239,7 @@ def execute_runs(
     def failed(key: RunKey, error: str) -> None:
         report.failed.append((key, error))
 
-    if pool is None and (report.workers == 1 or len(pending) <= 1):
+    if report.workers == 1 or len(pending) <= 1:
         for key in pending:
             begin = time.perf_counter()
             try:
@@ -283,9 +251,8 @@ def execute_runs(
                 failed(key, traceback.format_exc(limit=20))
                 continue
             completed(key, metrics, events, info, time.perf_counter() - begin)
-    elif pool is not None or warm:
-        if pool is None:
-            pool = shared_pool(report.workers)
+    else:
+        pool = shared_pool(report.workers)
         tasks = [
             (key, capture, context_for(key), key in profile_keys, events_per_run)
             for key in pending
@@ -298,24 +265,6 @@ def execute_runs(
             else:
                 failed(key, result.error or "unknown worker failure")
         report.pool = pool.stats_document()
-    else:
-        workers = min(report.workers, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as cold_pool:
-            futures = {
-                cold_pool.submit(
-                    _timed_task, key, capture, context_for(key),
-                    key in profile_keys, events_per_run,
-                ): key
-                for key in pending
-            }
-            for future in as_completed(futures):
-                key = futures[future]
-                try:
-                    (metrics, events, info), elapsed_s = future.result()
-                except Exception:
-                    failed(key, traceback.format_exc(limit=20))
-                    continue
-                completed(key, metrics, events, info, elapsed_s)
     report.execute_s = time.time() - start
     return report
 
@@ -328,14 +277,11 @@ def prewarm_experiments(
     registry: Optional[Dict[str, Callable]] = None,
     unplannable: Iterable[str] = (),
     collector=None,
-    warm: Optional[bool] = None,
 ) -> PrewarmReport:
     """Plan + execute: after this, running the experiments is cache-only.
 
     With a ``collector``, every planned run is executed with attribution
     (cached or not) and its profile document lands in the collector.
-    ``warm=False`` (the CLI's ``--cold-pool``) forces the per-batch
-    executor instead of the resident pool.
     """
     report = PrewarmReport(experiments=list(experiment_ids))
     start = time.time()
@@ -348,5 +294,5 @@ def prewarm_experiments(
     profile_keys = set(keys) if collector is not None else None
     return execute_runs(
         keys, jobs, tracer=tracer, report=report,
-        profile_keys=profile_keys, collector=collector, warm=warm,
+        profile_keys=profile_keys, collector=collector,
     )

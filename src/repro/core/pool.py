@@ -1,11 +1,11 @@
 """Warm execution backend: a persistent worker pool for simulation runs.
 
-The parallel engine used to build a fresh ``ProcessPoolExecutor`` for
-every batch, so each drained service batch (and every CLI invocation)
-paid worker start-up — interpreter boot, the import of the whole
-``repro`` package, calibration set-up — before a single run simulated.
-That is this project's own version of the paper's complaint: service
-machinery stealing time from the work the request actually asked for.
+A fresh process pool per batch would make each drained service batch
+(and every CLI invocation) pay worker start-up — interpreter boot, the
+import of the whole ``repro`` package, calibration set-up — before a
+single run simulated.  That is this project's own version of the
+paper's complaint: service machinery stealing time from the work the
+request actually asked for.
 
 This module keeps the service machinery *resident*:
 
@@ -28,9 +28,9 @@ This module keeps the service machinery *resident*:
 
 The pool never touches simulation semantics: workers run the same
 :func:`repro.core.experiment.simulate_run` as the serial path, results
-are keyed, and the caches are filled in the parent — so warm-pool,
-cold-pool, and serial results are byte-for-byte identical regardless of
-dispatch order.
+are keyed, and the caches are filled in the parent — so pooled and
+serial results are byte-for-byte identical regardless of dispatch
+order.
 
 Dispatch order itself comes from the cost model
 (:class:`repro.core.runcache.CostModel`): pending keys are sorted
@@ -42,15 +42,15 @@ a hash-ordered dispatch would produce.
 from __future__ import annotations
 
 import atexit
-import importlib
 import multiprocessing
 import os
+import signal
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from queue import Empty
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import experiment as _experiment
 from .runcache import RunKey, cost_model, run_key_digest
@@ -65,17 +65,11 @@ __all__ = [
     "shared_pool",
     "shared_pool_stats",
     "shutdown_shared_pool",
-    "warm_pool_enabled",
 ]
 
 #: Planned worker retirement: after this many tasks a worker exits and is
 #: respawned on demand (bounds slow leaks over a daemon's lifetime).
 DEFAULT_RECYCLE_AFTER = 256
-
-#: ``HISS_POOL=cold`` falls back to a fresh pool per batch (A/B lever).
-_POOL_ENV = "HISS_POOL"
-#: Override the multiprocessing start method (``fork``/``spawn``/...).
-_START_ENV = "HISS_POOL_START"
 
 #: Module defaults, adjustable via :func:`configure_pool` (daemon flags).
 _DEFAULTS = {"recycle_after": DEFAULT_RECYCLE_AFTER, "start_method": None}
@@ -94,22 +88,16 @@ _STALL_POLLS = 120
 _WARMUP_FAILURE_LIMIT = 3
 
 
-def warm_pool_enabled() -> bool:
-    """Whether ``execute_runs`` should keep a resident pool (default yes)."""
-    return os.environ.get(_POOL_ENV, "warm").strip().lower() != "cold"
-
-
 def default_start_method() -> str:
     """The multiprocessing start method for workers.
 
     ``fork`` where available (workers inherit the parent's already-warm
-    imports for free); ``spawn`` elsewhere.  ``HISS_POOL_START`` or
-    :func:`configure_pool` overrides — the service bench uses ``spawn``
-    to make the cold-start cost it measures explicit.
+    imports for free); ``spawn`` elsewhere.  :func:`configure_pool`
+    overrides — the service bench uses ``spawn`` to make the cold-start
+    cost it measures explicit.
     """
-    override = os.environ.get(_START_ENV) or _DEFAULTS["start_method"]
-    if override:
-        return override
+    if _DEFAULTS["start_method"]:
+        return _DEFAULTS["start_method"]
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
@@ -245,27 +233,14 @@ def _warm_start() -> None:
         gpu_app(name)
 
 
-def _resolve_runner(spec: Optional[Union[str, Callable]]) -> Callable:
-    """Turn a runner spec into a callable inside the worker.
-
-    ``None`` means :func:`run_task`.  A ``"module:attr"`` string is
-    imported here (spawn-safe); a callable is used as-is (fork-safe and
-    picklable-by-reference for module-level functions).
-    """
-    if spec is None:
-        return run_task
-    if callable(spec):
-        return spec
-    module_name, _, attr = spec.partition(":")
-    if not attr:
-        raise ValueError(f"runner spec {spec!r} is not 'module:attr'")
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def _worker_main(worker_id, inbox, outbox, recycle_after, runner_spec) -> None:
+def _worker_main(worker_id, inbox, outbox, recycle_after, runner) -> None:
     """Worker loop: warm up once, serve tasks until stopped or recycled."""
+    # A forked worker inherits the parent's SIGTERM handler; the daemon's
+    # only sets a drain flag, which would make ``terminate()`` (and
+    # multiprocessing's exit-time reaping) wait on a worker that never
+    # dies.  A worker has nothing to drain: let SIGTERM end it.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
-        runner = _resolve_runner(runner_spec)
         _warm_start()
         outbox.put(("ready", worker_id, os.getpid()))
         completed = 0
@@ -373,7 +348,7 @@ class WorkerPool:
         max_workers: int,
         recycle_after: Optional[int] = None,
         start_method: Optional[str] = None,
-        runner: Optional[Union[str, Callable]] = None,
+        runner: Callable = run_task,
     ):
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")

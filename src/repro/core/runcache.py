@@ -217,14 +217,6 @@ class DiskCache:
 #: Ledger file kept next to the result entries in the cache directory.
 COST_LEDGER_NAME = "cost_ledger.jsonl"
 
-#: Last-resort cost rate (seconds of wall time per simulated nanosecond)
-#: used before any observation exists.  The absolute value barely
-#: matters — with zero observations every pending key gets the same
-#: rate, so ordering degrades to horizon-then-digest, which is still
-#: deterministic.
-DEFAULT_COST_RATE = 5e-7
-
-
 def cost_features(key: RunKey) -> Tuple[str, str, bool]:
     """The coarse features a cost prediction can fall back on."""
     return (key[0] or "", key[1] or "", bool(key[2]))
@@ -240,7 +232,10 @@ class CostModel:
        older simulator never match);
     2. per-``(cpu, gpu, ssr)`` rate × horizon — the same pairing at any
        horizon;
-    3. global observed rate × horizon, then :data:`DEFAULT_COST_RATE`.
+    3. global observed rate × horizon.
+
+    A model with no observation predicts 0.0, meaning "unknown": it
+    never guesses a cost it has not seen.
 
     Observations append to a JSONL ledger (``cost_ledger.jsonl`` in the
     run-cache directory) when one is attached, so a daemon restart or a
@@ -323,8 +318,8 @@ class CostModel:
                     pass  # a read-only cache dir degrades to memory-only
 
     def predict(self, key: RunKey) -> float:
-        """Predicted wall seconds for ``key`` (never raises, never zero
-        for a positive horizon)."""
+        """Predicted wall seconds for ``key`` (never raises; 0.0 before
+        any observation)."""
         horizon_ns = float(key[4])
         with self._lock:
             entry = self._by_digest.get(run_key_digest(key))
@@ -335,7 +330,7 @@ class CostModel:
                 return horizon_ns * (rate[0] / rate[1])
             if self._global[1] > 0:
                 return horizon_ns * (self._global[0] / self._global[1])
-        return horizon_ns * DEFAULT_COST_RATE
+        return 0.0
 
 
 #: The process-wide model; replaced by :func:`set_cost_ledger`.

@@ -17,7 +17,7 @@ does the SSR time go, and what did a mitigation actually change?".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..iommu.request import SsrRequest
 from ..telemetry.metrics import SUMMARY_PERCENTILES, Histogram

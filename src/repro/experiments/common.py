@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List
 
 #: Default measured horizon for experiments (simulated nanoseconds).  Long
 #: enough for several fault-burst and barrier periods of every workload.

@@ -12,7 +12,7 @@ throughput.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..config import SystemConfig
 from ..core import ParetoPoint, frontier_labels, geomean, ratio, run_workloads

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 from ..config import SystemConfig
 from ..core import ParetoPoint, frontier_labels, geomean, ratio, run_workloads
-from ..mitigations import ALL_COMBINATIONS, combination
+from ..mitigations import combination
 from ..workloads import GPU_APP_NAMES, PARSEC_NAMES
 from .common import EXPERIMENT_HORIZON_NS, ExperimentResult, pareto_cell, register
 

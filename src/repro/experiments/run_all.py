@@ -181,11 +181,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="persist simulated runs under DIR and reuse them across "
         "invocations (auto-invalidated when the simulator changes)",
     )
-    parser.add_argument(
-        "--cold-pool", action="store_true",
-        help="with --jobs N, spawn a fresh worker pool per batch instead "
-        "of the warm resident pool (results identical; A/B lever)",
-    )
     args = parser.parse_args(argv)
 
     if args.list:
@@ -244,7 +239,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             tracer=tracer,
             unplannable=UNPLANNABLE,
             collector=collector,
-            warm=False if args.cold_pool else None,
         )
         print(report.summary())
         print()

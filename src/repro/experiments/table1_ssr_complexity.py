@@ -8,7 +8,6 @@ service latency through the full handling chain.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from ..config import SystemConfig

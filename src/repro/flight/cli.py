@@ -19,34 +19,14 @@ the same bundle.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
-from typing import Any
 
+from ..telemetry.kit import load_checked, load_json, print_invalid, run_subcommand, write_page
 from ..version import add_version_flag
 from .bundle import list_bundles, validate_postmortem
-from .report import postmortem_text, render_postmortem_html, write_html
+from .report import postmortem_text, render_postmortem_html
 
-
-def _load(path: str) -> Any:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except OSError as error:
-        raise SystemExit(f"hiss-postmortem: cannot read {path}: {error}")
-    except json.JSONDecodeError as error:
-        raise SystemExit(f"hiss-postmortem: {path} is not valid JSON: {error}")
-
-
-def _checked(path: str) -> Any:
-    document = _load(path)
-    problems = validate_postmortem(document)
-    if problems:
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
-        raise SystemExit(2)
-    return document
+PROG = "hiss-postmortem"
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -77,13 +57,13 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_summary(args: argparse.Namespace) -> int:
-    print(postmortem_text(_checked(args.bundle)))
+    print(postmortem_text(load_checked(PROG, args.bundle, validate_postmortem)))
     return 0
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    document = _checked(args.bundle)
-    size = write_html(render_postmortem_html(document, title=args.title), args.output)
+    document = load_checked(PROG, args.bundle, validate_postmortem)
+    size = write_page(args.output, render_postmortem_html(document))
     entries = len((document.get("flight_ring") or {}).get("entries") or [])
     print(
         f"wrote {args.output} ({size} bytes, {entries} ring entries, "
@@ -95,11 +75,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     status = 0
     for path in args.bundles:
-        document = _load(path)
-        problems = validate_postmortem(document)
-        if problems:
-            for problem in problems:
-                print(f"INVALID: {path}: {problem}", file=sys.stderr)
+        document = load_json(PROG, path)
+        if print_invalid(validate_postmortem(document), where=f"{path}: "):
             status = 1
             continue
         ring = document.get("flight_ring") or {}
@@ -113,7 +90,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="hiss-postmortem",
+        prog=PROG,
         description="List, render, and inspect HISS postmortem bundles.",
     )
     add_version_flag(parser)
@@ -139,7 +116,6 @@ def main(argv=None) -> int:
     render.add_argument(
         "-o", "--output", default="postmortem.html", help="HTML output path"
     )
-    render.add_argument("--title", default=None, help="report page title")
     render.set_defaults(func=_cmd_render)
 
     validate = sub.add_parser(
@@ -148,13 +124,7 @@ def main(argv=None) -> int:
     validate.add_argument("bundles", nargs="+", help="postmortem bundle JSON file(s)")
     validate.set_defaults(func=_cmd_validate)
 
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except BrokenPipeError:
-        # Downstream pager/head closed the pipe; devnull out the flush.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    return run_subcommand(parser, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,20 +12,11 @@ for the same bundle, run to run.
 from __future__ import annotations
 
 import html
-import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-__all__ = ["postmortem_text", "render_postmortem_html", "write_html"]
+from ..telemetry.kit import STATUS_CSS, fmt_s, render_page
 
-
-def _fmt_s(seconds: Optional[float]) -> str:
-    if seconds is None:
-        return "-"
-    if seconds >= 1.0:
-        return f"{seconds:.3f} s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f} ms"
-    return f"{seconds * 1e6:.0f} µs"
+__all__ = ["postmortem_text", "render_postmortem_html"]
 
 
 def _fmt_ns(ns: float) -> str:
@@ -102,7 +93,7 @@ def postmortem_text(doc: Dict[str, Any]) -> str:
             lines.append(
                 f"{str(row['job_id']):<26} {str(row['state']):<10} "
                 f"{row['planned_runs'] if row['planned_runs'] is not None else '-':>5} "
-                f"{_fmt_s(row['e2e_s']):>12}"
+                f"{fmt_s(row['e2e_s']):>12}"
             )
     blame = (doc.get("blame") or {}).get("rows") or []
     if blame:
@@ -134,23 +125,6 @@ def postmortem_text(doc: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # HTML assembly
 # ----------------------------------------------------------------------
-_CSS = """
-body { font: 14px/1.45 -apple-system, 'Segoe UI', Roboto, sans-serif;
-       margin: 2em auto; max-width: 960px; color: #222; padding: 0 1em; }
-h1 { font-size: 1.4em; } h2 { font-size: 1.1em; margin-top: 1.8em; }
-table { border-collapse: collapse; width: 100%; margin: 0.6em 0; }
-th, td { text-align: left; padding: 4px 10px; border-bottom: 1px solid #e5e5e5;
-         font-variant-numeric: tabular-nums; }
-th { background: #f7f7f7; font-weight: 600; }
-td.num, th.num { text-align: right; }
-.muted { color: #888; } .mono { font-family: ui-monospace, monospace; }
-.bar { background: #4c78a8; height: 11px; display: inline-block;
-       vertical-align: middle; border-radius: 2px; }
-.bar.bad { background: #e45756; }
-.firing { color: #b0272a; font-weight: 600; }
-.ok { color: #2a7d2e; }
-"""
-
 _LANE_COLORS = ("#4c78a8", "#f58518", "#54a24b", "#b279a2", "#9d755d", "#72b7b2")
 
 
@@ -222,19 +196,13 @@ def _timeline_svg(doc: Dict[str, Any], width: int = 860) -> str:
     return "".join(out)
 
 
-def render_postmortem_html(
-    doc: Dict[str, Any], title: Optional[str] = None
-) -> str:
+def render_postmortem_html(doc: Dict[str, Any]) -> str:
     """One self-contained page for a ``hiss.postmortem/1`` bundle."""
     e = html.escape
     trigger = doc.get("trigger") or {}
     ring = doc.get("flight_ring") or {}
     config = doc.get("config") or {}
-    title = title or f"HISS postmortem {doc.get('id', '?')}"
     out: List[str] = []
-    out.append("<!doctype html><html lang='en'><head><meta charset='utf-8'>")
-    out.append(f"<title>{e(title)}</title><style>{_CSS}</style></head><body>")
-    out.append(f"<h1>{e(title)}</h1>")
     out.append(
         f"<p><span class='firing'>{e(str(trigger.get('name', '?')))}</span> "
         f"({e(str(trigger.get('kind', '?')))}) at "
@@ -271,7 +239,7 @@ def render_postmortem_html(
                 f"<td class='{cls}'>{e(str(row['state']))}</td>"
                 f"<td class='num'>{row['planned_runs'] if row['planned_runs'] is not None else '-'}</td>"
                 f"<td class='num'>{row['runs_executed'] if row['runs_executed'] is not None else '-'}</td>"
-                f"<td class='num'>{e(_fmt_s(row['e2e_s']))}</td></tr>"
+                f"<td class='num'>{e(fmt_s(row['e2e_s']))}</td></tr>"
             )
         out.append("</tbody></table>")
 
@@ -340,17 +308,7 @@ def render_postmortem_html(
             )
         out.append("</tbody></table>")
 
-    payload = json.dumps(doc, sort_keys=True).replace("</", "<\\/")
-    out.append(
-        f"<script type='application/json' id='hiss-postmortem-data'>{payload}</script>"
+    return render_page(
+        f"HISS postmortem {doc.get('id', '?')}", STATUS_CSS, out,
+        "hiss-postmortem-data", doc,
     )
-    out.append("</body></html>")
-    return "".join(out)
-
-
-def write_html(text: str, path: str) -> int:
-    """Write a rendered page to ``path``; returns the byte count."""
-    data = text.encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return len(data)

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
+from ..telemetry.kit import check_ring_capacity, decimate_pairs
+
 __all__ = ["DEFAULT_RING_CAPACITY", "FlightEntry", "FlightRing"]
 
 #: Default entry capacity.  512 entries comfortably cover minutes of ops
@@ -68,8 +70,7 @@ class FlightRing:
     """Bounded ring of :class:`FlightEntry` with pair-merge decimation."""
 
     def __init__(self, capacity: int = DEFAULT_RING_CAPACITY):
-        if capacity < 16 or capacity % 2:
-            raise ValueError(f"capacity must be an even number >= 16, got {capacity}")
+        check_ring_capacity(capacity)
         self.capacity = capacity
         self.entries: List[FlightEntry] = []
         #: Entries ever appended (== total_weight; conservation check).
@@ -93,15 +94,11 @@ class FlightRing:
         self.appended += 1
         self.entries.append(entry)
         if len(self.entries) >= self.capacity:
-            # Deterministic decimation, mirroring RollupStore._append:
-            # merge adjacent pairs (later payload wins, weights add).
-            merged = [
-                self.entries[i + 1].absorb(self.entries[i])
-                for i in range(0, len(self.entries) - 1, 2)
-            ]
-            if len(self.entries) % 2:
-                merged.append(self.entries[-1])
-            self.entries = merged
+            # Deterministic decimation: merge adjacent pairs (later
+            # payload wins, weights add).
+            self.entries = decimate_pairs(
+                self.entries, lambda earlier, later: later.absorb(earlier)
+            )
             self.decimations += 1
         return entry
 

@@ -14,7 +14,7 @@ paper's microbenchmark — keep computing while faults are in flight.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, TYPE_CHECKING
+from typing import Generator, TYPE_CHECKING
 
 from ..oskernel.thread import KIND_USER, PRIO_NORMAL, Thread
 from ..iommu.iommu import Iommu

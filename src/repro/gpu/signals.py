@@ -8,7 +8,7 @@ Table I service cost.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from ..iommu.request import SSR_CATALOG, LatencyStats
 from ..oskernel.irq import Irq

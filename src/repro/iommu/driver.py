@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Generator, List, TYPE_CHECKING
 
-from ..oskernel import accounting as acct
 from ..oskernel.thread import KIND_KTHREAD, PRIO_KTHREAD, Thread
 from ..profiling.ledger import CH_BOTTOM_HALF
 from ..oskernel.irq import Irq

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any, Dict, List, Optional
 
+from ..telemetry.kit import load_json, print_invalid, run_subcommand, write_page
 from ..version import add_version_flag
 from .replay import DEFAULT_REPLAY_INTERVAL_S, replay_ops_log
 from .report import (
@@ -35,7 +35,6 @@ from .report import (
     render_diff_html,
     render_evaluation_html,
     store_series,
-    write_html,
 )
 from .slo import (
     DEFAULT_SLOS,
@@ -47,21 +46,14 @@ from .slo import (
 from .traces import trace_diff
 
 
-def _load_json(path: str, what: str = "document") -> Any:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except OSError as error:
-        raise SystemExit(f"hiss-slo: cannot read {path}: {error}")
-    except json.JSONDecodeError as error:
-        raise SystemExit(f"hiss-slo: {path} is not valid {what} JSON: {error}")
+PROG = "hiss-slo"
 
 
 def _load_specs(path: Optional[str]) -> List:
     """The spec list for ``--slo`` (a file path, or the built-in defaults)."""
     if path is None or path == "default":
         return list(DEFAULT_SLOS)
-    doc = _load_json(path, what="SLO spec")
+    doc = load_json(PROG, path, what="SLO spec")
     try:
         return parse_slo_document(doc)
     except ValueError as error:
@@ -108,11 +100,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         print(evaluation_text(report, capture=capture_doc))
     if args.output:
-        size = write_html(
-            render_evaluation_html(
-                report, capture=capture_doc, series=series, title=args.title
-            ),
+        size = write_page(
             args.output,
+            render_evaluation_html(report, capture=capture_doc, series=series),
         )
         print(f"wrote {args.output} ({size} bytes)", file=sys.stderr)
     if args.fail_on_firing and report.get("firing"):
@@ -134,25 +124,22 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         doc_a = _fetch(args.url, f"/v1/jobs/{args.baseline}/trace")
         doc_b = _fetch(args.url, f"/v1/jobs/{args.compare}/trace")
     else:
-        doc_a = _load_json(args.baseline, what="trace")
-        doc_b = _load_json(args.compare, what="trace")
+        doc_a = load_json(PROG, args.baseline, what="trace")
+        doc_b = load_json(PROG, args.compare, what="trace")
     diff = trace_diff(doc_a, doc_b)
     if args.json:
         print(json.dumps(diff, indent=2, sort_keys=True))
     else:
         print(diff_text(diff))
     if args.output:
-        size = write_html(render_diff_html(diff, title=args.title), args.output)
+        size = write_page(args.output, render_diff_html(diff))
         print(f"wrote {args.output} ({size} bytes)", file=sys.stderr)
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    doc = _load_json(args.spec, what="SLO spec")
-    problems = validate_slo_document(doc)
-    if problems:
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
+    doc = load_json(PROG, args.spec, what="SLO spec")
+    if print_invalid(validate_slo_document(doc)):
         return 1
     specs = parse_slo_document(doc)
     details = ", ".join(spec.name for spec in specs)
@@ -167,7 +154,7 @@ def _cmd_default_spec(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="hiss-slo",
+        prog=PROG,
         description="Evaluate serving-tier SLOs and diff job traces.",
     )
     add_version_flag(parser)
@@ -194,7 +181,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     evaluate.add_argument("-o", "--output", default=None, metavar="FILE",
                           help="also write a self-contained HTML report")
     evaluate.add_argument("--json", action="store_true", help="print the raw report JSON")
-    evaluate.add_argument("--title", default="HISS SLO report", help="report page title")
     evaluate.add_argument(
         "--fail-on-firing", action="store_true",
         help="exit 3 when any rule fires (for CI gates)",
@@ -216,7 +202,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     diff.add_argument("-o", "--output", default=None, metavar="FILE",
                       help="also write a self-contained HTML report")
     diff.add_argument("--json", action="store_true", help="print the raw diff JSON")
-    diff.add_argument("--title", default="HISS trace diff", help="report page title")
     diff.set_defaults(func=_cmd_diff)
 
     validate = sub.add_parser(
@@ -230,14 +215,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     default_spec.set_defaults(func=_cmd_default_spec)
 
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except BrokenPipeError:
-        # Downstream pager/head closed the pipe; repoint stdout at devnull
-        # so the interpreter's shutdown flush doesn't raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    return run_subcommand(parser, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

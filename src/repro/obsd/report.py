@@ -11,9 +11,9 @@ capture and spec set, run to run.
 from __future__ import annotations
 
 import html
-import json
 from typing import Any, Dict, List, Optional
 
+from ..telemetry.kit import STATUS_CSS, fmt_s, render_page
 from .rollup import RollupStore
 
 __all__ = [
@@ -22,16 +22,7 @@ __all__ = [
     "render_diff_html",
     "render_evaluation_html",
     "store_series",
-    "write_html",
 ]
-
-
-def _fmt_s(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.3f} s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f} ms"
-    return f"{seconds * 1e6:.0f} µs"
 
 
 def _fmt_burn(burn: float) -> str:
@@ -121,8 +112,8 @@ def diff_text(diff: Dict[str, Any]) -> str:
     """Aligned-text form of a :func:`~repro.obsd.traces.trace_diff`."""
     a, b = diff["a"], diff["b"]
     lines = [
-        f"trace diff: {a['job_id']} ({_fmt_s(a['e2e_s'])}) -> "
-        f"{b['job_id']} ({_fmt_s(b['e2e_s'])}), "
+        f"trace diff: {a['job_id']} ({fmt_s(a['e2e_s'])}) -> "
+        f"{b['job_id']} ({fmt_s(b['e2e_s'])}), "
         f"delta {diff['e2e_delta_s']:+.6f}s",
         "",
     ]
@@ -139,7 +130,7 @@ def diff_text(diff: Dict[str, Any]) -> str:
             else "-"
         )
         lines.append(
-            f"{row['label']:<32} {_fmt_s(row['a_s']):>12} {_fmt_s(row['b_s']):>12} "
+            f"{row['label']:<32} {fmt_s(row['a_s']):>12} {fmt_s(row['b_s']):>12} "
             f"{row['delta_s']:>+12.6f} {share:>7}"
         )
     return "\n".join(lines)
@@ -148,24 +139,6 @@ def diff_text(diff: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # HTML assembly
 # ----------------------------------------------------------------------
-_CSS = """
-body { font: 14px/1.45 -apple-system, 'Segoe UI', Roboto, sans-serif;
-       margin: 2em auto; max-width: 960px; color: #222; padding: 0 1em; }
-h1 { font-size: 1.4em; } h2 { font-size: 1.1em; margin-top: 1.8em; }
-table { border-collapse: collapse; width: 100%; margin: 0.6em 0; }
-th, td { text-align: left; padding: 4px 10px; border-bottom: 1px solid #e5e5e5;
-         font-variant-numeric: tabular-nums; }
-th { background: #f7f7f7; font-weight: 600; }
-td.num, th.num { text-align: right; }
-.muted { color: #888; } .mono { font-family: ui-monospace, monospace; }
-.bar { background: #4c78a8; height: 11px; display: inline-block;
-       vertical-align: middle; border-radius: 2px; }
-.bar.bad { background: #e45756; }
-.firing { color: #b0272a; font-weight: 600; }
-.ok { color: #2a7d2e; }
-"""
-
-
 def _burn_bar(burn: float, factor: float, width: int = 180) -> str:
     """A horizontal burn bar: full width at 2x the alert factor."""
     span = max(factor * 2.0, 1e-9)
@@ -205,15 +178,11 @@ def render_evaluation_html(
     report: Dict[str, Any],
     capture: Optional[Dict[str, Any]] = None,
     series: Optional[List[Dict[str, Any]]] = None,
-    title: str = "HISS SLO report",
 ) -> str:
     """One self-contained page for an evaluation report."""
     e = html.escape
     firing = report.get("firing") or []
     out: List[str] = []
-    out.append("<!doctype html><html lang='en'><head><meta charset='utf-8'>")
-    out.append(f"<title>{e(title)}</title><style>{_CSS}</style></head><body>")
-    out.append(f"<h1>{e(title)}</h1>")
     verdict = (
         f"<span class='firing'>{len(firing)} firing: {e(', '.join(firing))}</span>"
         if firing
@@ -288,27 +257,19 @@ def render_evaluation_html(
         out.append(_series_svg(series))
 
     document = {"report": report, "capture": capture, "series": series}
-    payload = json.dumps(document, sort_keys=True).replace("</", "<\\/")
-    out.append(
-        f"<script type='application/json' id='hiss-slo-data'>{payload}</script>"
-    )
-    out.append("</body></html>")
-    return "".join(out)
+    return render_page("HISS SLO report", STATUS_CSS, out, "hiss-slo-data", document)
 
 
-def render_diff_html(diff: Dict[str, Any], title: str = "HISS trace diff") -> str:
+def render_diff_html(diff: Dict[str, Any]) -> str:
     """One self-contained page for a two-job trace diff."""
     e = html.escape
     a, b = diff["a"], diff["b"]
     out: List[str] = []
-    out.append("<!doctype html><html lang='en'><head><meta charset='utf-8'>")
-    out.append(f"<title>{e(title)}</title><style>{_CSS}</style></head><body>")
-    out.append(f"<h1>{e(title)}</h1>")
     out.append(
         f"<p><span class='mono'>{e(str(a['job_id']))}</span> "
-        f"({e(_fmt_s(a['e2e_s']))}) &rarr; "
+        f"({e(fmt_s(a['e2e_s']))}) &rarr; "
         f"<span class='mono'>{e(str(b['job_id']))}</span> "
-        f"({e(_fmt_s(b['e2e_s']))}) &middot; "
+        f"({e(fmt_s(b['e2e_s']))}) &middot; "
         f"end-to-end delta <b>{diff['e2e_delta_s']:+.6f}s</b></p>"
     )
     out.append("<h2>Stage attribution of the delta</h2>")
@@ -327,8 +288,8 @@ def render_diff_html(diff: Dict[str, Any], title: str = "HISS trace diff") -> st
         )
         out.append(
             f"<tr><td>{e(row['label'])}</td>"
-            f"<td class='num'>{e(_fmt_s(row['a_s']))}</td>"
-            f"<td class='num'>{e(_fmt_s(row['b_s']))}</td>"
+            f"<td class='num'>{e(fmt_s(row['a_s']))}</td>"
+            f"<td class='num'>{e(fmt_s(row['b_s']))}</td>"
             f"<td class='num'>{row['delta_s']:+.6f}</td>"
             f"<td><span class='{cls}' style='width:{max(px, 2)}px'></span></td>"
             f"<td class='num'>{share}</td></tr>"
@@ -339,17 +300,4 @@ def render_diff_html(diff: Dict[str, Any], title: str = "HISS trace diff") -> st
         "longer than the baseline; shares sum to 100% of the end-to-end "
         "delta up to rounding.</p>"
     )
-    payload = json.dumps(diff, sort_keys=True).replace("</", "<\\/")
-    out.append(
-        f"<script type='application/json' id='hiss-slo-diff-data'>{payload}</script>"
-    )
-    out.append("</body></html>")
-    return "".join(out)
-
-
-def write_html(text: str, path: str) -> int:
-    """Write a rendered page to ``path``; returns the byte count."""
-    data = text.encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return len(data)
+    return render_page("HISS trace diff", STATUS_CSS, out, "hiss-slo-diff-data", diff)

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..telemetry.kit import check_ring_capacity, decimate_pairs
 from ..telemetry.metrics import Histogram
 
 __all__ = [
@@ -111,8 +112,7 @@ class RollupStore:
     ):
         if interval_s <= 0:
             raise ValueError(f"interval_s must be positive, got {interval_s}")
-        if capacity < 16 or capacity % 2:
-            raise ValueError(f"capacity must be an even number >= 16, got {capacity}")
+        check_ring_capacity(capacity)
         self.initial_interval_s = interval_s
         self.interval_s = interval_s
         self.capacity = capacity
@@ -177,13 +177,7 @@ class RollupStore:
             # Deterministic decimation: merge adjacent pairs, double the
             # interval.  Counter sums and histogram merges lose nothing;
             # only the bucket boundaries coarsen.
-            merged = [
-                self.buckets[i].merge(self.buckets[i + 1])
-                for i in range(0, len(self.buckets) - 1, 2)
-            ]
-            if len(self.buckets) % 2:
-                merged.append(self.buckets[-1])
-            self.buckets = merged
+            self.buckets = decimate_pairs(self.buckets, RollupBucket.merge)
             self.interval_s *= 2
             self.decimations += 1
 

@@ -25,7 +25,7 @@ replayed offline by ``hiss-slo`` or watched live by the daemon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .rollup import RollupBucket, RollupStore

@@ -12,7 +12,7 @@ involved in servicing SSRs are updated to account for their CPU cycles").
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 #: Time buckets.
 USER = "user"

@@ -14,7 +14,7 @@ The delivery policy models how the IOMMU's MSI reaches a core:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, TYPE_CHECKING
 
 from . import accounting as acct

@@ -12,7 +12,7 @@ overhead — segment 'b' of Figure 2), and tallied for the Figure 5 counters.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, TYPE_CHECKING
+from typing import Generator, Optional, TYPE_CHECKING
 
 from ..profiling.ledger import CH_POLLUTION
 from ..sim import Event, Interrupt

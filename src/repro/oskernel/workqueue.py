@@ -18,7 +18,6 @@ from typing import Callable, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..profiling.ledger import CH_ENQUEUE, CH_WORKER
 from ..sim import Store
-from . import accounting as acct
 from .thread import KIND_KWORKER, PRIO_NORMAL, Thread
 
 if TYPE_CHECKING:  # pragma: no cover

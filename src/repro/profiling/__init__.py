@@ -56,7 +56,6 @@ from .report import (
     aggregate_attribution,
     render_html,
     text_summary,
-    write_html,
 )
 
 __all__ = [
@@ -97,5 +96,4 @@ __all__ = [
     "validate_profile",
     "victim_app",
     "write_collapsed",
-    "write_html",
 ]

@@ -16,42 +16,22 @@ by flamegraph.pl or speedscope; the HTML report is fully self-contained
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
-from typing import Any
 
+from ..telemetry.kit import load_checked, load_json, print_invalid, run_subcommand, write_page
 from ..version import add_version_flag
 from .flamegraph import write_collapsed
 from .profiler import profile_runs, validate_profile
-from .report import text_summary, write_html
+from .report import render_html, text_summary
 
-
-def _load(path: str) -> Any:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except OSError as error:
-        raise SystemExit(f"hiss-report: cannot read {path}: {error}")
-    except json.JSONDecodeError as error:
-        raise SystemExit(f"hiss-report: {path} is not valid JSON: {error}")
-
-
-def _checked(path: str) -> Any:
-    document = _load(path)
-    problems = validate_profile(document)
-    if problems:
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
-        raise SystemExit(2)
-    return document
+PROG = "hiss-report"
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    document = _checked(args.profile)
+    document = load_checked(PROG, args.profile, validate_profile)
     runs = profile_runs(document)
     entries = sum(len(r.get("ledger", {}).get("entries", [])) for r in runs)
-    size = write_html(document, args.output, title=args.title)
+    size = write_page(args.output, render_html(document))
     print(f"wrote {args.output} ({size} bytes, {len(runs)} run(s), {entries} attribution cells)")
     if args.collapsed:
         lines = write_collapsed(document, args.collapsed)
@@ -60,16 +40,13 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_summary(args: argparse.Namespace) -> int:
-    print(text_summary(_checked(args.profile)))
+    print(text_summary(load_checked(PROG, args.profile, validate_profile)))
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    document = _load(args.profile)
-    problems = validate_profile(document)
-    if problems:
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
+    document = load_json(PROG, args.profile)
+    if print_invalid(validate_profile(document)):
         return 1
     runs = profile_runs(document)
     entries = sum(len(r.get("ledger", {}).get("entries", [])) for r in runs)
@@ -83,7 +60,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="hiss-report",
+        prog=PROG,
         description="Render and inspect HISS interference-attribution profiles.",
     )
     add_version_flag(parser)
@@ -95,9 +72,6 @@ def main(argv=None) -> int:
     render.add_argument(
         "--collapsed", metavar="FILE",
         help="also write collapsed-stack flamegraph input to FILE",
-    )
-    render.add_argument(
-        "--title", default="HISS interference profile", help="report page title"
     )
     render.set_defaults(func=_cmd_render)
 
@@ -111,15 +85,7 @@ def main(argv=None) -> int:
     validate.add_argument("profile", help="profile JSON (bundle or single run)")
     validate.set_defaults(func=_cmd_validate)
 
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except BrokenPipeError:
-        # Downstream pager/head closed the pipe (e.g. `summary | head`).
-        # Point stdout at devnull so the interpreter's shutdown flush
-        # doesn't raise a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    return run_subcommand(parser, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

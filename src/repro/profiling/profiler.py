@@ -16,7 +16,7 @@ side-channel artifact like a trace.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from ..oskernel import accounting as acct
 from .ledger import ALL_CHANNELS, NULL_LEDGER, SSR_SERVICE_CHANNELS, InterferenceLedger

@@ -19,10 +19,10 @@ Sections mirror the paper's presentation:
 from __future__ import annotations
 
 import html
-import json
 from typing import Dict, List, Tuple
 
-from .ledger import ALL_CHANNELS, SIDE_CHANNELS, SSR_SERVICE_CHANNELS
+from ..telemetry.kit import BASE_CSS, render_page
+from .ledger import ALL_CHANNELS, SSR_SERVICE_CHANNELS
 from .profiler import profile_runs
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "aggregate_attribution",
     "render_html",
     "text_summary",
-    "write_html",
 ]
 
 #: Timeline band colors per mode code (see ``sampler.MODE_CODES``).
@@ -206,26 +205,14 @@ def _timeline_svg(run: Dict, width: int = 860) -> str:
 # ----------------------------------------------------------------------
 # HTML assembly
 # ----------------------------------------------------------------------
-_CSS = """
-body { font: 14px/1.45 -apple-system, 'Segoe UI', Roboto, sans-serif;
-       margin: 2em auto; max-width: 960px; color: #222; padding: 0 1em; }
-h1 { font-size: 1.4em; } h2 { font-size: 1.1em; margin-top: 1.8em; }
-table { border-collapse: collapse; width: 100%; margin: 0.6em 0; }
-th, td { text-align: left; padding: 4px 10px; border-bottom: 1px solid #e5e5e5;
-         font-variant-numeric: tabular-nums; }
-th { background: #f7f7f7; font-weight: 600; }
-td.num, th.num { text-align: right; }
-.muted { color: #888; } .mono { font-family: ui-monospace, monospace; }
-.bar { background: #4c78a8; height: 11px; display: inline-block;
-       vertical-align: middle; border-radius: 2px; }
-.side { color: #946; }
+_CSS = BASE_CSS + """.side { color: #946; }
 .legend span { display: inline-block; margin-right: 1em; font-size: 12px; }
 .legend i { display: inline-block; width: 11px; height: 11px;
             margin-right: 4px; vertical-align: -1px; }
 """
 
 
-def render_html(document: Dict, title: str = "HISS interference profile") -> str:
+def render_html(document: Dict) -> str:
     """Render ``document`` (bundle or run) as one self-contained page."""
     runs = profile_runs(document)
     attribution = aggregate_attribution(document)
@@ -239,9 +226,6 @@ def render_html(document: Dict, title: str = "HISS interference profile") -> str
 
     out: List[str] = []
     e = html.escape
-    out.append("<!doctype html><html lang='en'><head><meta charset='utf-8'>")
-    out.append(f"<title>{e(title)}</title><style>{_CSS}</style></head><body>")
-    out.append(f"<h1>{e(title)}</h1>")
     out.append(
         "<p>"
         f"{len(runs)} run(s) &middot; {completed} SSRs completed &middot; "
@@ -322,20 +306,6 @@ def render_html(document: Dict, title: str = "HISS interference profile") -> str
             f"<p class='muted'>({len(runs) - 6} more run(s) in the embedded data)</p>"
         )
 
-    # --- Embedded raw data --------------------------------------------
-    payload = json.dumps(document, sort_keys=True).replace("</", "<\\/")
-    out.append(
-        "<script type='application/json' id='hiss-profile-data'>"
-        f"{payload}</script>"
+    return render_page(
+        "HISS interference profile", _CSS, out, "hiss-profile-data", document
     )
-    out.append("</body></html>")
-    return "".join(out)
-
-
-def write_html(document: Dict, path: str, title: str = "HISS interference profile") -> int:
-    """Write the rendered report to ``path``; returns the byte count."""
-    text = render_html(document, title=title)
-    data = text.encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return len(data)

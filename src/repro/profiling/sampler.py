@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple, TYPE_CHECKING
 
 from ..oskernel import accounting as acct
+from ..telemetry.kit import decimate_pairs
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.system import System
@@ -85,10 +86,11 @@ class SimSampler:
     def _tick(self) -> None:
         self.samples.append(self._snapshot())
         if len(self.samples) >= self.capacity:
-            # Deterministic decimation: keep every other sample, double
-            # the cadence.  Each row carries its own timestamp, so the
-            # irregular spacing at the decimation boundary is harmless.
-            self.samples = self.samples[::2]
+            # Deterministic decimation: the earlier sample of each pair
+            # survives, and the cadence doubles.  Each row carries its own
+            # timestamp, so the irregular spacing at the decimation
+            # boundary is harmless.
+            self.samples = decimate_pairs(self.samples, lambda earlier, later: earlier)
             self.interval_ns *= 2
             self.decimations += 1
         self._system.env.call_later(self.interval_ns, self._tick)

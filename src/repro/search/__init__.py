@@ -51,7 +51,7 @@ from .samplers import (
     sampler_for_round,
 )
 from .space import Knob, SearchSpace, default_space
-from .report import frontier_table, render_html, write_html
+from .report import frontier_table, render_html
 
 __all__ = [
     "EvaluationContext",
@@ -75,5 +75,4 @@ __all__ = [
     "render_html",
     "replay_journal",
     "sampler_for_round",
-    "write_html",
 ]

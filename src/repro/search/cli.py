@@ -26,6 +26,7 @@ from typing import List, Optional
 from ..core import configure_disk_cache
 from ..version import add_version_flag
 from ..telemetry import MetricsRegistry, SpanRecorder, render_metrics_text, trace_document
+from ..telemetry.kit import write_page
 from .driver import (
     ARCHIVE_SUFFIX,
     SweepDriver,
@@ -35,7 +36,7 @@ from .driver import (
     replay_journal,
 )
 from .objectives import OBJECTIVE_NAMES
-from .report import frontier_table, write_html
+from .report import frontier_table, render_html
 from .space import default_space
 
 #: Exit code of a sweep stopped by ``--interrupt-after`` (CI hook).
@@ -193,7 +194,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         evaluations = [
             (point, vector) for point, vector in state["archive"].values()
         ]
-        write_html(document, args.html, evaluations)
+        write_page(args.html, render_html(document, evaluations))
         print(f"html: {args.html}")
     return 0
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import SystemConfig
@@ -179,7 +179,6 @@ class SweepDriver:
         registry: Optional[MetricsRegistry] = None,
         recorder: Optional[SpanRecorder] = None,
         interrupt_after: Optional[int] = None,
-        warm: Optional[bool] = None,
     ):
         self.space = space
         self.settings = settings
@@ -195,7 +194,6 @@ class SweepDriver:
         self.registry = registry or MetricsRegistry()
         self.recorder = recorder or SpanRecorder()
         self.interrupt_after = interrupt_after
-        self.warm = warm
         #: encoding -> (point, raw objective vector), evaluation order.
         self.archive: Dict[str, Tuple[Point, Tuple[float, ...]]] = {}
         self._rounds_completed = 0
@@ -326,7 +324,7 @@ class SweepDriver:
         ):
             keys = self.context.keys_for(self.space, proposals)
             report = PrewarmReport()
-            execute_runs(keys, jobs=settings.jobs, report=report, warm=self.warm)
+            execute_runs(keys, jobs=settings.jobs, report=report)
             if report.failed:
                 labels = ", ".join(run_label(key) for key, _tb in report.failed)
                 raise RuntimeError(

@@ -213,14 +213,3 @@ frontier {len(frontier)} · space {escape(str(document.get('space_digest', ''))[
 </body>
 </html>
 """
-
-
-def write_html(
-    document: Dict[str, Any],
-    path: str,
-    evaluations: Optional[Sequence[Tuple[Any, Sequence[float]]]] = None,
-) -> str:
-    """Write :func:`render_html` output to ``path``; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_html(document, evaluations))
-    return path

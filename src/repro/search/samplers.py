@@ -24,7 +24,7 @@ every platform and Python version.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Iterable, List, Sequence, Set
+from typing import Any, List, Sequence, Set
 
 from .space import Point, SearchSpace
 

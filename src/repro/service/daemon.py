@@ -116,11 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(lifecycle spans and /v1/jobs/<id>/trace still work)",
     )
     parser.add_argument(
-        "--cold-pool", action="store_true",
-        help="spawn a fresh worker pool per batch instead of keeping "
-        "warm resident workers (A/B lever; see docs/performance.md)",
-    )
-    parser.add_argument(
         "--pool-recycle", type=int, default=None, metavar="N",
         help="retire each warm worker after N tasks (default 256; "
         "0 = never recycle)",
@@ -175,7 +170,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         verbose=args.verbose,
         trace=not args.no_trace,
         ops_log=ops_log,
-        warm_pool=False if args.cold_pool else None,
         slos=slos,
         slo_interval_s=args.slo_interval,
         postmortem_dir=args.postmortem_dir,

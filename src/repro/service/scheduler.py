@@ -103,7 +103,6 @@ class JobScheduler:
         trace_capacity: int = 100_000,
         trace_events_per_run: int = 4000,
         ops_log: Optional[OpsLog] = None,
-        warm: Optional[bool] = None,
         flight=None,
     ):
         self.store = store
@@ -113,9 +112,6 @@ class JobScheduler:
         self.governor = governor
         self.poll_s = poll_s
         self._clock = clock
-        #: ``False`` forces the cold per-batch executor; ``None`` follows
-        #: the ``HISS_POOL`` environment default (warm).
-        self.warm = warm
         #: Capture each run's in-sim event stream in the pool workers and
         #: attach it to the jobs that planned the run.  Span/timestamp
         #: bookkeeping happens regardless; this only gates event capture.
@@ -276,12 +272,10 @@ class JobScheduler:
         # admission starts back-pressuring while the batch is in flight,
         # not one batch later.  After execution only the residual
         # (actual - predicted, floored at 0) is added, so nothing is
-        # counted twice.  A model with no observations only has its
-        # default prior, which can be off by an order of magnitude, so it
-        # charges nothing up front and the residual charges the actual.
+        # counted twice.
         predicted_core_s = 0.0
-        model = cost_model()
-        if self.governor is not None and pending and model.observations:
+        if self.governor is not None and pending:
+            model = cost_model()
             predicted_core_s = sum(model.predict(key) for key in pending)
             self.governor.note_predicted(predicted_core_s)
 
@@ -408,7 +402,6 @@ class JobScheduler:
             span_context_for=span_context_for,
             on_run=on_run,
             profile_keys=profile_keys,
-            warm=self.warm,
             events_per_run=self.trace_events_per_run if self.trace else None,
         )
         if tracer is not None and tracer.dropped:

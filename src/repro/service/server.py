@@ -105,7 +105,6 @@ class HissService:
         verbose: bool = False,
         trace: bool = True,
         ops_log: Optional[OpsLog] = None,
-        warm_pool: Optional[bool] = None,
         slos=None,
         slo_interval_s: float = 5.0,
         postmortem_dir: Optional[str] = None,
@@ -164,7 +163,6 @@ class HissService:
             governor=self.governor,
             trace=trace,
             ops_log=self.ops_log,
-            warm=warm_pool,
             flight=self.flight,
         )
         #: SLO engine (None = disabled, the default; disabled costs the

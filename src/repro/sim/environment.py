@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Tuple
 
 from ..telemetry import NULL_TRACER
 from .events import NORMAL, AllOf, AnyOf, Event, Timeout

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Deque, Optional, Tuple
+from typing import Any, Deque, Tuple
 
 from .events import Event
 

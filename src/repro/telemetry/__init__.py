@@ -1,6 +1,6 @@
 """Structured telemetry for the HISS simulator.
 
-Three cooperating pieces (see ``docs/observability.md``):
+Its pieces (see ``docs/observability.md``):
 
 * :mod:`repro.telemetry.tracer` — a zero-cost-when-disabled event tracer
   recording spans/instants keyed by core (or device track) and sim-time
@@ -13,6 +13,9 @@ Three cooperating pieces (see ``docs/observability.md``):
 * :mod:`repro.telemetry.spans` — wall-clock lifecycle spans with trace
   ids for the serving tier: span documents, validation, and stitching of
   service spans with in-sim event streams into one Chrome trace.
+* :mod:`repro.telemetry.kit` — what the report tools and bounded rings
+  share: the HTML page shell, JSON loading, CLI plumbing, and the
+  pair-merge decimation step.
 
 This package sits *below* the simulation layers (it imports nothing from
 them), so every layer can hold a tracer reference without import cycles.

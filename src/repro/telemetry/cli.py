@@ -15,24 +15,15 @@ in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from collections import defaultdict
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..version import add_version_flag
 from .export import validate_chrome_trace
+from .kit import load_json, print_invalid, run_subcommand
 
-
-def _load(path: str) -> Any:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except OSError as error:
-        raise SystemExit(f"hiss-trace: cannot read {path}: {error}")
-    except json.JSONDecodeError as error:
-        raise SystemExit(f"hiss-trace: {path} is not valid JSON: {error}")
+PROG = "hiss-trace"
 
 
 def _track_names(doc: Dict) -> Dict[int, str]:
@@ -45,14 +36,11 @@ def _track_names(doc: Dict) -> Dict[int, str]:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    doc = _load(args.trace)
+    doc = load_json(PROG, args.trace)
     if args.spans:
         from .spans import validate_trace_document
 
-        errors = validate_trace_document(doc)
-        if errors:
-            for error in errors:
-                print(f"INVALID: {error}", file=sys.stderr)
+        if print_invalid(validate_trace_document(doc)):
             return 1
         print(
             f"OK: {args.trace} (trace {doc.get('trace_id')}, "
@@ -60,10 +48,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             f"{len(doc.get('sim', []))} sim run(s))"
         )
         return 0
-    errors = validate_chrome_trace(doc)
-    if errors:
-        for error in errors:
-            print(f"INVALID: {error}", file=sys.stderr)
+    if print_invalid(validate_chrome_trace(doc)):
         return 1
     count = len(doc["traceEvents"])
     dropped = doc.get("otherData", {}).get("dropped_events", 0)
@@ -72,7 +57,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_summary(args: argparse.Namespace) -> int:
-    doc = _load(args.trace)
+    doc = load_json(PROG, args.trace)
     names = _track_names(doc)
     # (tid, name) -> [span_ns, span_count, other_count]
     cells: Dict[tuple, List[float]] = defaultdict(lambda: [0.0, 0, 0])
@@ -105,7 +90,7 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    doc = _load(args.trace)
+    doc = load_json(PROG, args.trace)
     names = _track_names(doc)
     tids = {name: tid for tid, name in names.items()}
     tid = tids.get(args.track)
@@ -142,7 +127,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="hiss-trace",
+        prog=PROG,
         description="Inspect Chrome-trace JSON produced by the HISS simulator.",
     )
     add_version_flag(parser)
@@ -155,11 +140,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="treat the file as a job span document (GET /v1/jobs/<id>/trace) "
         "instead of Chrome-trace JSON",
     )
-    validate.set_defaults(fn=_cmd_validate)
+    validate.set_defaults(func=_cmd_validate)
 
     summary = subparsers.add_parser("summary", help="per-track span time and counts")
     summary.add_argument("trace", help="path to a trace JSON file")
-    summary.set_defaults(fn=_cmd_summary)
+    summary.set_defaults(func=_cmd_summary)
 
     timeline = subparsers.add_parser("timeline", help="one track's events in time order")
     timeline.add_argument("trace", help="path to a trace JSON file")
@@ -167,17 +152,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--track", default="core 0", help="track name (e.g. 'core 0', 'iommu') or tid"
     )
     timeline.add_argument("--limit", type=int, default=50, help="max events to print (0 = all)")
-    timeline.set_defaults(fn=_cmd_timeline)
+    timeline.set_defaults(func=_cmd_timeline)
 
-    args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except BrokenPipeError:
-        # Downstream pager/head closed the pipe (e.g. `summary | head`).
-        # Point stdout at devnull so the interpreter's shutdown flush
-        # doesn't raise a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    return run_subcommand(parser, argv)
 
 
 if __name__ == "__main__":

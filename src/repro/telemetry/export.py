@@ -19,7 +19,7 @@ from collections import defaultdict
 from typing import Any, Dict, List, Optional, Union
 
 from .metrics import MetricsRegistry
-from .tracer import PHASE_COUNTER, PHASE_INSTANT, PHASE_SPAN, TraceEvent, Tracer
+from .tracer import PHASE_COUNTER, PHASE_INSTANT, PHASE_SPAN, Tracer
 
 __all__ = [
     "METRICS_TEXT_CONTENT_TYPE",

@@ -1,4 +1,4 @@
-"""Microarchitecture models: owner-tagged L1D cache and gshare predictor.
+"""Microarchitecture models: an LRU L1D cache and a gshare predictor.
 
 The solo steady-state calibration runs each CPU workload profile's
 sampled streams through these structures, which sets its baseline miss

@@ -1,4 +1,4 @@
-"""A gshare dynamic branch predictor with per-owner accounting.
+"""A gshare dynamic branch predictor with prediction counts.
 
 The predictor is a table of 2-bit saturating counters indexed by
 ``PC xor global-history``.  The solo steady-state calibration
@@ -8,7 +8,6 @@ workload profile's baseline mispredict rate.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import List
 
 
@@ -17,21 +16,21 @@ STRONG_NOT_TAKEN, WEAK_NOT_TAKEN, WEAK_TAKEN, STRONG_TAKEN = 0, 1, 2, 3
 
 
 class BranchStats:
-    """Per-owner prediction accounting."""
+    """Prediction counts."""
 
     __slots__ = ("predictions", "mispredictions")
 
     def __init__(self):
-        self.predictions: Counter = Counter()
-        self.mispredictions: Counter = Counter()
+        self.predictions = 0
+        self.mispredictions = 0
 
     def reset(self) -> None:
-        self.predictions.clear()
-        self.mispredictions.clear()
+        self.predictions = 0
+        self.mispredictions = 0
 
-    def mispredict_rate(self, owner: str) -> float:
-        total = self.predictions[owner]
-        return self.mispredictions[owner] / total if total else 0.0
+    def mispredict_rate(self) -> float:
+        total = self.predictions
+        return self.mispredictions / total if total else 0.0
 
 
 class GShareBranchPredictor:
@@ -49,7 +48,7 @@ class GShareBranchPredictor:
         self._history = 0
         self.stats = BranchStats()
 
-    def execute(self, pc: int, taken: bool, owner: str) -> bool:
+    def execute(self, pc: int, taken: bool) -> bool:
         """Predict and train on one branch; returns True if predicted right."""
         history = self._history
         index = ((pc >> 2) ^ history) % self.table_size
@@ -59,9 +58,9 @@ class GShareBranchPredictor:
         correct = prediction == taken
 
         stats = self.stats
-        stats.predictions[owner] += 1
+        stats.predictions += 1
         if not correct:
-            stats.mispredictions[owner] += 1
+            stats.mispredictions += 1
 
         # Train the 2-bit counter.
         if taken:

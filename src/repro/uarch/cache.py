@@ -1,34 +1,32 @@
-"""A set-associative, LRU, owner-tagged cache model.
+"""A set-associative, LRU cache model with hit/miss counts.
 
-Lines are tagged with an *owner* string, and hits and misses are counted
-per owner.  The solo steady-state calibration
+The solo steady-state calibration
 (:func:`~repro.uarch.state.measure_steady_state`) drives it to measure a
 workload profile's baseline L1D miss rate.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, List
 
 
 class CacheStats:
-    """Per-owner hit/miss accounting."""
+    """Hit/miss counts."""
 
     __slots__ = ("hits", "misses")
 
     def __init__(self):
-        self.hits: Counter = Counter()
-        self.misses: Counter = Counter()
+        self.hits = 0
+        self.misses = 0
 
     def reset(self) -> None:
-        self.hits.clear()
-        self.misses.clear()
+        self.hits = 0
+        self.misses = 0
 
-    def miss_rate(self, owner: str) -> float:
-        """Miss rate for ``owner`` over everything recorded so far."""
-        total = self.hits[owner] + self.misses[owner]
-        return self.misses[owner] / total if total else 0.0
+    def miss_rate(self) -> float:
+        """Miss rate over everything recorded so far."""
+        total = self.hits + self.misses
+        return self.misses / total if total else 0.0
 
 
 class SetAssociativeCache:
@@ -48,10 +46,9 @@ class SetAssociativeCache:
         self.ways = ways
         self.line_size = line_size
         self._line_shift = line_size.bit_length() - 1
-        # Each set maps tag -> [owner, lru_stamp]; small dicts keep lookup O(1).
-        self._sets: List[Dict[int, List]] = [dict() for _ in range(num_sets)]
+        # Each set maps tag -> lru_stamp; small dicts keep lookup O(1).
+        self._sets: List[Dict[int, int]] = [dict() for _ in range(num_sets)]
         self._clock = 0
-        self._occupancy: Counter = Counter()
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -67,11 +64,16 @@ class SetAssociativeCache:
         """Capacity of the cache in bytes."""
         return self.total_lines * self.line_size
 
+    @property
+    def occupancy(self) -> int:
+        """Number of lines currently held."""
+        return sum(len(cache_set) for cache_set in self._sets)
+
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
-    def access(self, address: int, owner: str) -> bool:
-        """Access ``address`` on behalf of ``owner``; returns True on a hit.
+    def access(self, address: int) -> bool:
+        """Access ``address``; returns True on a hit.
 
         On a miss the line is installed with LRU replacement.
         """
@@ -80,33 +82,15 @@ class SetAssociativeCache:
         num_sets = self.num_sets
         cache_set = self._sets[line % num_sets]
         tag = line // num_sets
-        entry = cache_set.get(tag)
-        stats = self.stats
-        if entry is not None:
-            entry[1] = clock
-            stats.hits[owner] += 1
-            # A line can be re-claimed by a new owner (shared address space
-            # is not modeled; same tag => same owner in practice).
+        if tag in cache_set:
+            cache_set[tag] = clock
+            self.stats.hits += 1
             return True
 
-        stats.misses[owner] += 1
+        self.stats.misses += 1
         if len(cache_set) >= self.ways:
-            # True-LRU victim: the first entry carrying the minimal stamp
-            # (stamps are unique, so the scan picks the one oldest line).
-            victim_tag = victim_owner = None
-            victim_stamp = clock
-            for candidate_tag, candidate in cache_set.items():
-                stamp = candidate[1]
-                if stamp < victim_stamp:
-                    victim_stamp = stamp
-                    victim_tag = candidate_tag
-                    victim_owner = candidate[0]
-            del cache_set[victim_tag]
-            self._occupancy[victim_owner] -= 1
-        cache_set[tag] = [owner, clock]
-        self._occupancy[owner] += 1
+            # True-LRU victim: stamps are unique, so the minimum is the
+            # one oldest line.
+            del cache_set[min(cache_set, key=cache_set.__getitem__)]
+        cache_set[tag] = clock
         return False
-
-    def occupancy(self, owner: str) -> int:
-        """Number of lines currently owned by ``owner``."""
-        return self._occupancy[owner]

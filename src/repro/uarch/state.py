@@ -43,7 +43,6 @@ def run_window(
     l1d: SetAssociativeCache,
     predictor: GShareBranchPredictor,
     rng: Random,
-    owner: str,
     addr_spec: AddressStreamSpec,
     branch_spec: BranchStreamSpec,
     accesses: int,
@@ -64,7 +63,7 @@ def run_window(
     misses = 0
     for _ in range(accesses):
         line = randbelow(hot_lines) if random() < hot_rate else randbelow(lines)
-        if not access(base + line * line_size, owner):
+        if not access(base + line * line_size):
             misses += 1
     execute = predictor.execute
     base_pc, sites, bias = branch_spec.base_pc, branch_spec.sites, branch_spec.bias
@@ -73,7 +72,7 @@ def run_window(
         site = randbelow(sites)
         majority = (site & 1) == 0
         taken = majority if random() < bias else not majority
-        if not execute(base_pc + site * 4, taken, owner):
+        if not execute(base_pc + site * 4, taken):
             mispredicts += 1
     return misses, mispredicts
 
@@ -93,15 +92,14 @@ def measure_steady_state(
     derive the *baseline* CPI against which interference is charged.
     """
     l1d, predictor, rng = config.make_cache(), config.make_predictor(), Random(seed)
-    owner = "probe"
     run_window(
-        l1d, predictor, rng, owner, addr_spec, branch_spec,
+        l1d, predictor, rng, addr_spec, branch_spec,
         warmup_accesses, warmup_accesses // 2,
     )
     l1d.stats.reset()
     predictor.stats.reset()
     run_window(
-        l1d, predictor, rng, owner, addr_spec, branch_spec,
+        l1d, predictor, rng, addr_spec, branch_spec,
         sample_accesses, sample_accesses // 2,
     )
-    return l1d.stats.miss_rate(owner), predictor.stats.mispredict_rate(owner)
+    return l1d.stats.miss_rate(), predictor.stats.mispredict_rate()

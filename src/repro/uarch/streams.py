@@ -19,8 +19,7 @@ class AddressStreamSpec:
     """Statistical description of a data-access stream.
 
     Attributes:
-        base: Byte address where this owner's working set starts.  Distinct
-            owners use distinct bases so their lines never alias as "shared".
+        base: Byte address where the working set starts.
         lines: Working-set size, in cache lines.
         hot_fraction: Fraction of the working set that is "hot".
         hot_rate: Probability that an access lands in the hot subset.
@@ -47,7 +46,7 @@ class BranchStreamSpec:
     """Statistical description of a branch stream.
 
     Attributes:
-        base_pc: Program-counter base (keeps owners in distinct PC regions).
+        base_pc: Program-counter base of the branch sites.
         sites: Number of static branch sites.
         bias: Probability a branch follows its site's majority direction.
             Values near 1.0 are highly predictable.

@@ -8,8 +8,6 @@ slowdown (this is why interrupt steering can *hurt* such apps, Fig. 6a).
 
 from __future__ import annotations
 
-from typing import List
-
 from ..sim import Environment, Event
 
 

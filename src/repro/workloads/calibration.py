@@ -15,17 +15,15 @@ from ..config import CpuConfig
 from ..uarch import AddressStreamSpec, BranchStreamSpec, measure_steady_state
 from .profiles import CpuAppProfile
 
-#: Address-space carving: each owner gets its own region.
-USER_ADDRESS_STRIDE = 0x1_0000_0000
+#: Where a profile's working set and branch sites start.
 USER_ADDRESS_BASE = 0x10_0000_0000
-USER_PC_STRIDE = 0x100_0000
 USER_PC_BASE = 0x4000_0000
 
 
-def address_spec_for(profile: CpuAppProfile, owner_index: int, line_size: int = 64) -> AddressStreamSpec:
-    """The data-access stream spec of one of the profile's threads."""
+def address_spec_for(profile: CpuAppProfile, line_size: int = 64) -> AddressStreamSpec:
+    """The profile's data-access stream spec."""
     return AddressStreamSpec(
-        base=USER_ADDRESS_BASE + owner_index * USER_ADDRESS_STRIDE,
+        base=USER_ADDRESS_BASE,
         lines=profile.ws_lines,
         hot_fraction=profile.hot_fraction,
         hot_rate=profile.hot_rate,
@@ -33,10 +31,10 @@ def address_spec_for(profile: CpuAppProfile, owner_index: int, line_size: int = 
     )
 
 
-def branch_spec_for(profile: CpuAppProfile, owner_index: int) -> BranchStreamSpec:
-    """The branch stream spec of one of the profile's threads."""
+def branch_spec_for(profile: CpuAppProfile) -> BranchStreamSpec:
+    """The profile's branch stream spec."""
     return BranchStreamSpec(
-        base_pc=USER_PC_BASE + owner_index * USER_PC_STRIDE,
+        base_pc=USER_PC_BASE,
         sites=profile.branch_sites,
         bias=profile.branch_bias,
     )
@@ -65,8 +63,8 @@ def steady_state_for(profile: CpuAppProfile, cpu: CpuConfig) -> SteadyState:
     if cached is not None:
         return cached
     miss_rate, mispredict_rate = measure_steady_state(
-        address_spec_for(profile, owner_index=0, line_size=cpu.uarch.line_size),
-        branch_spec_for(profile, owner_index=0),
+        address_spec_for(profile, line_size=cpu.uarch.line_size),
+        branch_spec_for(profile),
         cpu.uarch,
     )
     cpi = (

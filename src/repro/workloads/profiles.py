@@ -11,7 +11,7 @@ the paper identifies as the other axis of the interference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 

@@ -13,10 +13,10 @@ from repro.profiling import (
     render_html,
     validate_profile,
     write_collapsed,
-    write_html,
 )
 from repro.profiling.cli import main as report_main
 from repro.profiling.report import aggregate_app_blame, aggregate_attribution, text_summary
+from repro.telemetry.kit import write_page
 from repro.workloads import gpu_app, parsec
 
 HORIZON_NS = 2_000_000
@@ -103,7 +103,7 @@ class TestHtml:
 
     def test_embedded_json_round_trips(self, bundle, tmp_path):
         path = tmp_path / "report.html"
-        size = write_html(bundle, str(path))
+        size = write_page(str(path), render_html(bundle))
         html = path.read_text()
         assert size == len(html.encode("utf-8"))
         marker = "id='hiss-profile-data'>"

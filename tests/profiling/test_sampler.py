@@ -77,6 +77,17 @@ class TestSampling:
         assert sampler.interval_ns == 10_000 * 2 ** sampler.decimations
         timestamps = [row[0] for row in sampler.samples]
         assert timestamps == sorted(timestamps)
+        # Replay the tick rule: the earlier sample of each merged pair
+        # survives, so the first tick (t = one interval) is never dropped.
+        expected, interval, now = [], 10_000, 10_000
+        while now < HORIZON_NS:
+            expected.append(now)
+            if len(expected) >= 16:
+                expected = [expected[i] for i in range(0, len(expected), 2)]
+                interval *= 2
+            now += interval
+        assert timestamps == expected
+        assert timestamps[0] == 10_000
 
     def test_as_dict_round_trips(self):
         profiler = _profiled_run()

@@ -6,8 +6,8 @@ from repro.search.report import (
     DATA_ELEMENT_ID,
     frontier_table,
     render_html,
-    write_html,
 )
+from repro.telemetry.kit import write_page
 
 DOCUMENT = {
     "schema": 1,
@@ -74,6 +74,8 @@ class TestHtmlReport:
 
     def test_write_html(self, tmp_path):
         path = str(tmp_path / "report.html")
-        assert write_html(DOCUMENT, path) == path
+        html = render_html(DOCUMENT)
+        assert write_page(path, html) == len(html.encode("utf-8"))
         with open(path, "r", encoding="utf-8") as handle:
-            assert DATA_ELEMENT_ID in handle.read()
+            assert handle.read() == html
+        assert DATA_ELEMENT_ID in html

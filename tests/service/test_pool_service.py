@@ -127,7 +127,7 @@ class TestBatchCrashIsolation:
         scheduler._run_batch([job.id])
 
         assert job.state == DONE
-        # Nothing was charged up front: the default prior is a guess.
+        # Nothing was charged up front: an unobserved model predicts 0.0.
         assert governor.predicted_core_s == 0.0
         # The post-batch residual charged the measured execution in full.
         (executed,) = [r for r in records if r["event"] == "batch.executed"]

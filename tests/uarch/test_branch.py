@@ -23,24 +23,24 @@ class TestConstruction:
 class TestTraining:
     def test_initial_prediction_is_not_taken(self, predictor):
         # WEAK_NOT_TAKEN initial state: a not-taken branch predicts correctly.
-        assert predictor.execute(0x400, taken=False, owner="a") is True
+        assert predictor.execute(0x400, taken=False) is True
 
     def test_taken_branch_trains_after_two_executions(self, predictor):
-        predictor.execute(0x400, taken=True, owner="a")   # mispredict, trains up
-        predictor.execute(0x400, taken=True, owner="a")   # now weak-taken
-        assert predictor.execute(0x400, taken=True, owner="a") is True
+        predictor.execute(0x400, taken=True)   # mispredict, trains up
+        predictor.execute(0x400, taken=True)   # now weak-taken
+        assert predictor.execute(0x400, taken=True) is True
 
     def test_saturation_resists_single_flip(self, predictor):
         for _ in range(4):
-            predictor.execute(0x400, taken=True, owner="a")  # strong taken
-        predictor.execute(0x400, taken=False, owner="a")      # one anomaly
-        assert predictor.execute(0x400, taken=True, owner="a") is True
+            predictor.execute(0x400, taken=True)  # strong taken
+        predictor.execute(0x400, taken=False)      # one anomaly
+        assert predictor.execute(0x400, taken=True) is True
 
     def test_stats_accumulate(self, predictor):
-        predictor.execute(0x400, taken=True, owner="a")
-        predictor.execute(0x400, taken=True, owner="a")
-        assert predictor.stats.predictions["a"] == 2
-        assert predictor.stats.mispredictions["a"] >= 1
+        predictor.execute(0x400, taken=True)
+        predictor.execute(0x400, taken=True)
+        assert predictor.stats.predictions == 2
+        assert predictor.stats.mispredictions >= 1
 
     def test_biased_stream_converges_to_low_mispredicts(self, predictor):
         import random
@@ -49,11 +49,11 @@ class TestTraining:
         mispredicts = 0
         # Warm up.
         for _ in range(100):
-            predictor.execute(0x400, taken=rng.random() < 0.95, owner="a")
+            predictor.execute(0x400, taken=rng.random() < 0.95)
         predictor.stats.reset()
         for _ in range(1000):
             taken = rng.random() < 0.95
-            if not predictor.execute(0x400, taken, owner="a"):
+            if not predictor.execute(0x400, taken):
                 mispredicts += 1
         assert mispredicts / 1000 < 0.15
 
@@ -64,12 +64,12 @@ class TestOwnershipDisturbance:
         # there is no aliasing: training every site once leaves each entry
         # one step from its initial state, so a second taken run mispredicts
         # nowhere, while an aliased pair would have trained an entry twice.
-        first = [predictor.execute(0x1000 + site * 4, True, "a") for site in range(64)]
+        first = [predictor.execute(0x1000 + site * 4, True) for site in range(64)]
         assert not any(first)
-        second = [predictor.execute(0x1000 + site * 4, True, "a") for site in range(64)]
+        second = [predictor.execute(0x1000 + site * 4, True) for site in range(64)]
         assert all(second)
         # The 65th site wraps onto site 0's trained entry.
-        assert predictor.execute(0x1000 + 64 * 4, False, "a") is False
+        assert predictor.execute(0x1000 + 64 * 4, False) is False
 
 
 class TestHistoryMode:
@@ -79,8 +79,8 @@ class TestHistoryMode:
         # shifted in moves the pc to an untrained entry, which predicts
         # not-taken.
         bimodal = GShareBranchPredictor(table_size=64, history_bits=0)
-        bimodal.execute(0x100, True, "a")
-        assert bimodal.execute(0x100, True, "a") is True
+        bimodal.execute(0x100, True)
+        assert bimodal.execute(0x100, True) is True
         gshare = GShareBranchPredictor(table_size=64, history_bits=4)
-        gshare.execute(0x100, True, "a")
-        assert gshare.execute(0x100, True, "a") is False
+        gshare.execute(0x100, True)
+        assert gshare.execute(0x100, True) is False

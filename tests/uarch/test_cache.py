@@ -1,4 +1,4 @@
-"""Unit tests for the owner-tagged set-associative cache."""
+"""Unit tests for the set-associative LRU cache."""
 
 import pytest
 
@@ -28,30 +28,30 @@ class TestGeometry:
 
 class TestBasicAccess:
     def test_first_access_misses(self, cache):
-        assert cache.access(0x1000, "a") is False
+        assert cache.access(0x1000) is False
 
     def test_second_access_hits(self, cache):
-        cache.access(0x1000, "a")
-        assert cache.access(0x1000, "a") is True
+        cache.access(0x1000)
+        assert cache.access(0x1000) is True
 
     def test_same_line_different_offset_hits(self, cache):
-        cache.access(0x1000, "a")
-        assert cache.access(0x103F, "a") is True
+        cache.access(0x1000)
+        assert cache.access(0x103F) is True
 
     def test_adjacent_line_misses(self, cache):
-        cache.access(0x1000, "a")
-        assert cache.access(0x1040, "a") is False
+        cache.access(0x1000)
+        assert cache.access(0x1040) is False
 
     def test_stats_track_hits_and_misses(self, cache):
-        cache.access(0x1000, "a")
-        cache.access(0x1000, "a")
-        cache.access(0x2000, "a")
-        assert cache.stats.hits["a"] == 1
-        assert cache.stats.misses["a"] == 2
-        assert cache.stats.miss_rate("a") == pytest.approx(2 / 3)
+        cache.access(0x1000)
+        cache.access(0x1000)
+        cache.access(0x2000)
+        assert cache.stats.hits == 1
+        assert cache.stats.misses == 2
+        assert cache.stats.miss_rate() == pytest.approx(2 / 3)
 
     def test_miss_rate_with_no_accesses(self, cache):
-        assert cache.stats.miss_rate("ghost") == 0.0
+        assert cache.stats.miss_rate() == 0.0
 
 
 class TestLruReplacement:
@@ -59,25 +59,26 @@ class TestLruReplacement:
         # Set 0 has 2 ways; lines mapping to set 0 are multiples of 4 lines.
         set_stride = 4 * 64  # num_sets * line_size
         a, b, c = 0, set_stride, 2 * set_stride
-        cache.access(a, "x")
-        cache.access(b, "x")
-        cache.access(a, "x")  # refresh a; b is now LRU
-        cache.access(c, "x")  # evicts b
-        assert cache.access(a, "x") is True
-        assert cache.access(b, "x") is False  # b was the victim
+        cache.access(a)
+        cache.access(b)
+        cache.access(a)  # refresh a; b is now LRU
+        cache.access(c)  # evicts b
+        assert cache.access(a) is True
+        assert cache.access(b) is False  # b was the victim
 
     def test_occupancy_tracks_eviction(self, cache):
         set_stride = 4 * 64
-        cache.access(0, "a")
-        cache.access(set_stride, "a")
-        assert cache.occupancy("a") == 2
-        cache.access(2 * set_stride, "b")
-        assert cache.occupancy("a") == 1
-        assert cache.occupancy("b") == 1
+        cache.access(0)
+        cache.access(set_stride)
+        assert cache.occupancy == 2
+        cache.access(2 * set_stride)  # set 0 is full: evicts line 0
+        assert cache.occupancy == 2
+        assert cache.access(set_stride) is True
+        assert cache.access(0) is False
 
 
 class TestMaintenance:
     def test_stats_reset(self, cache):
-        cache.access(0, "a")
+        cache.access(0)
         cache.stats.reset()
-        assert cache.stats.misses["a"] == 0
+        assert cache.stats.misses == 0

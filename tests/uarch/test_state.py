@@ -21,7 +21,7 @@ def state():
 
 
 def _window(state, addr, branch, accesses, branches):
-    return run_window(*state, "u", addr, branch, accesses, branches)
+    return run_window(*state, addr, branch, accesses, branches)
 
 
 def _user_specs(lines=32):
@@ -47,7 +47,7 @@ class TestUserWindow:
     def test_occupancy_builds(self, state):
         addr, branch = _user_specs(lines=16)
         _window(state, addr, branch, 200, 10)
-        assert state[0].occupancy("u") > 0
+        assert state[0].occupancy > 0
 
 
 class TestSteadyState:

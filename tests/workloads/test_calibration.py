@@ -4,24 +4,13 @@ import pytest
 
 from repro.config import CpuConfig
 from repro.workloads import parsec, steady_state_for
-from repro.workloads.calibration import address_spec_for, branch_spec_for
+from repro.workloads.calibration import address_spec_for
 
 
 class TestSpecDerivation:
-    def test_distinct_owners_get_distinct_regions(self):
-        profile = parsec("x264")
-        a = address_spec_for(profile, 1)
-        b = address_spec_for(profile, 2)
-        assert a.base != b.base
-        assert abs(a.base - b.base) >= profile.ws_lines * a.line_size
-
-    def test_branch_regions_distinct(self):
-        profile = parsec("x264")
-        assert branch_spec_for(profile, 1).base_pc != branch_spec_for(profile, 2).base_pc
-
     def test_spec_mirrors_profile(self):
         profile = parsec("canneal")
-        spec = address_spec_for(profile, 0)
+        spec = address_spec_for(profile)
         assert spec.lines == profile.ws_lines
         assert spec.hot_rate == profile.hot_rate
 
