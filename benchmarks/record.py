@@ -29,8 +29,8 @@ from datetime import datetime, timezone
 
 from repro.core import clear_cache, configure_disk_cache, prewarm_experiments
 from repro.experiments import run_experiment
-from repro.experiments.common import QUICK_CPU_NAMES, QUICK_GPU_NAMES, UNPLANNABLE
-from repro.experiments.run_all import DEFAULT_ORDER, _TAKES_CPU, _TAKES_GPU
+from repro.experiments.common import QUICK_CPU_NAMES, QUICK_GPU_NAMES
+from repro.experiments.run_all import DEFAULT_ORDER, experiment_kwargs
 
 #: Default simulated horizon for snapshot runs (matches the bench suite).
 DEFAULT_HORIZON_MS = 15.0
@@ -48,19 +48,6 @@ def git_sha() -> str:
         return "unknown"
 
 
-def figure_kwargs(experiment_id: str, horizon_ns: int) -> dict:
-    kwargs = {}
-    if experiment_id in _TAKES_CPU:
-        kwargs["cpu_names"] = QUICK_CPU_NAMES
-    if experiment_id in _TAKES_GPU:
-        kwargs["gpu_names"] = [
-            g for g in QUICK_GPU_NAMES if experiment_id != "fig8" or g != "ubench"
-        ]
-    if experiment_id != "table1":
-        kwargs["horizon_ns"] = horizon_ns
-    return kwargs
-
-
 def record_profile_overhead(figure: str, kwargs_for) -> dict:
     """Time one figure's run set with attribution off, then on.
 
@@ -74,7 +61,7 @@ def record_profile_overhead(figure: str, kwargs_for) -> dict:
     from repro.core.planner import plan_runs
     from repro.profiling import Profiler
 
-    keys, skipped = plan_runs([figure], kwargs_for, unplannable=UNPLANNABLE)
+    keys, skipped = plan_runs([figure], kwargs_for)
     if not keys:
         return {"figure": figure, "runs": 0, "skipped": skipped}
     clear_cache()
@@ -394,8 +381,8 @@ def main(argv=None) -> int:
         args.profile_figure = ""
     else:
         figures = args.figures or list(DEFAULT_ORDER)
-    horizon_ns = int(args.horizon_ms * 1_000_000)
-    kwargs_for = lambda eid: figure_kwargs(eid, horizon_ns)  # noqa: E731
+    def kwargs_for(experiment_id: str) -> dict:
+        return experiment_kwargs(experiment_id, quick=True, horizon_ms=args.horizon_ms)
 
     clear_cache()
     configure_disk_cache(args.cache_dir)
@@ -414,9 +401,7 @@ def main(argv=None) -> int:
 
     total_start = time.time()
     if args.jobs != 1:
-        report = prewarm_experiments(
-            figures, kwargs_for, jobs=args.jobs, unplannable=UNPLANNABLE
-        )
+        report = prewarm_experiments(figures, kwargs_for, jobs=args.jobs)
         snapshot["prewarm"] = {
             "planned": report.planned,
             "memory_hits": report.memory_hits,

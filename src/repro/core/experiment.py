@@ -98,10 +98,11 @@ def make_run_key(
 def simulate_run(key: RunKey, tracer=None, profiler=None) -> SystemMetrics:
     """Build and execute the system described by ``key`` (no caching).
 
-    This is the single simulation entry point shared by the serial path
-    and the pool workers, so a parallel run is the same computation as a
-    serial one — bit for bit.  ``tracer`` and ``profiler`` are pure side
-    channels: passing either never changes the returned metrics.
+    This is the single simulation entry point shared by ``run_workloads``
+    and :func:`~repro.core.pool.run_task` (in-process or in a pool
+    worker), so every path runs the same computation — bit for bit.
+    ``tracer`` and ``profiler`` are pure side channels: passing either
+    never changes the returned metrics.
     """
     cpu_name, gpu_name, ssr_enabled, config, horizon_ns = key
     system = System(config, tracer=tracer, profiler=profiler)
@@ -141,10 +142,10 @@ def cache_store(
 def planning_active() -> bool:
     """True while a :func:`planning` context is recording run keys.
 
-    Layers that fan runs out through :func:`~repro.core.planner.execute_runs`
-    themselves (the ablation sweeps, the search driver) must skip the
-    fan-out when the planner is merely recording their grid — otherwise a
-    planning pass would actually simulate.
+    A layer that fans runs out through :func:`~repro.core.planner.execute_runs`
+    itself (the search driver) must skip the fan-out when the planner is
+    merely recording its grid — otherwise a planning pass would actually
+    simulate.
     """
     return _PLANNING is not None
 

@@ -11,21 +11,22 @@ serial sweep into a three-phase pipeline:
    share baselines.
 2. **Execute** — the unique, not-yet-cached keys are dispatched
    longest-predicted-first (see
-   :class:`~repro.core.runcache.CostModel`) onto the persistent warm
-   worker pool (:mod:`repro.core.pool`).  Workers run the exact same
-   :func:`~repro.core.experiment.simulate_run` as the serial path, so
-   results are bit-for-bit identical regardless of dispatch order; the
-   parent stores each result in both cache levels as it arrives.  A key that fails — worker exception or worker death
-   — is recorded in ``PrewarmReport.failed`` and the rest of the batch
-   completes.
+   :class:`~repro.core.runcache.CostModel`), in-process at ``jobs == 1``
+   or onto the persistent warm worker pool (:mod:`repro.core.pool`).
+   Both run the exact same :func:`~repro.core.pool.run_task`, so results
+   are bit-for-bit identical regardless of dispatch order; the parent
+   stores each result in both cache levels as it arrives.  A key that
+   fails — worker exception or worker death — is recorded in
+   ``PrewarmReport.failed`` and the rest of the batch completes.
 3. **Replay** — the caller runs the experiments normally; every
    ``run_workloads`` call is now a cache hit and the harnesses only do
    table assembly.
 
-When tracing is enabled, each worker records its run into a private
-:class:`~repro.telemetry.Tracer` and ships the events back; the parent
-merges them into its tracer under per-run track names, so one Chrome
-trace shows every simulated run side by side.
+Every executed run's side data — its wall window, captured events,
+tracer metrics and profile — comes back through one ``on_run(key,
+info)`` callback.  :func:`prewarm_experiments` uses it to merge each
+run's events into the caller's tracer under per-run track names, so one
+Chrome trace shows every simulated run side by side.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import experiment as _experiment
-from .pool import order_longest_first, run_label, run_task, shared_pool
+from .pool import TaskResult, order_longest_first, run_label, run_task, shared_pool
 from .runcache import RunKey, cost_model
 
 #: Ring capacity of each worker's private tracer (events per run).
@@ -99,31 +100,26 @@ class PrewarmReport:
 
 
 def plan_runs(
-    experiment_ids: Sequence[str],
-    kwargs_for: Callable[[str], Dict[str, Any]],
-    registry: Optional[Dict[str, Callable]] = None,
-    unplannable: Iterable[str] = (),
+    experiment_ids: Sequence[str], kwargs_for: Callable[[str], Dict[str, Any]]
 ) -> Tuple[List[RunKey], List[str]]:
     """Collect the deduplicated run keys of ``experiment_ids``, in order.
 
     ``kwargs_for`` maps an experiment id to the keyword arguments it will
     later be run with — planning must see the same grid the real run will.
-    Experiments in ``unplannable`` (those that simulate outside
+    Serial-only experiments (``UNPLANNABLE``: those that simulate outside
     ``run_workloads``, e.g. ``table1``) are skipped and reported back.
     """
-    if registry is None:
-        from ..experiments.common import REGISTRY as registry  # lazy: avoid cycle
-    skip = set(unplannable)
+    from ..experiments.common import REGISTRY, UNPLANNABLE  # lazy: avoid cycle
+
     ordered: List[RunKey] = []
     seen = set()
     skipped: List[str] = []
     for experiment_id in experiment_ids:
-        if experiment_id in skip:
+        if experiment_id in UNPLANNABLE:
             skipped.append(experiment_id)
             continue
-        fn = registry[experiment_id]
         with _experiment.planning() as collected:
-            fn(**kwargs_for(experiment_id))
+            REGISTRY[experiment_id](**kwargs_for(experiment_id))
         # Sets iterate in a hash-seed-dependent order; sort on a stable
         # rendering so the dispatch order (not the results — those are
         # order-independent) is reproducible too.
@@ -157,49 +153,44 @@ def _merge_worker_trace(tracer, label: str, events) -> None:
         )
 
 
+def _run_in_process(tasks: Sequence[Tuple]):
+    """:func:`run_task` each task here, yielding pool-shaped results."""
+    for index, task in enumerate(tasks):
+        begin = time.perf_counter()
+        try:
+            payload = run_task(*task)
+        except Exception:
+            yield TaskResult(index, False, error=traceback.format_exc(limit=20))
+            continue
+        yield TaskResult(index, True, payload, time.perf_counter() - begin)
+
+
 def execute_runs(
     keys: Sequence[RunKey],
     jobs: int,
-    tracer=None,
-    trace_capacity: int = WORKER_TRACE_CAPACITY,
     report: Optional[PrewarmReport] = None,
-    span_context_for: Optional[Callable[[RunKey], Optional[dict]]] = None,
-    on_run: Optional[Callable[[RunKey, Optional[list], Optional[dict]], None]] = None,
-    profile_keys: Optional[set] = None,
-    collector=None,
+    trace_capacity: int = 0,
     events_per_run: Optional[int] = None,
+    profile_keys: Optional[set] = None,
+    on_run: Optional[Callable[[RunKey, Dict[str, Any]], None]] = None,
 ) -> PrewarmReport:
-    """Simulate ``keys`` on a worker pool, filling both cache levels.
+    """Simulate ``keys``, filling both cache levels.
 
-    Keys already satisfied by a cache level are not dispatched; the rest
-    are ordered longest-predicted-first by the cost model (the batch
-    makespan is then bounded by the longest run, not an unlucky tail)
-    and the batch estimate lands in ``report.predicted_core_s`` before
-    anything executes.  With ``jobs == 1`` (or a single pending run) the
-    runs execute in-process, which keeps the serial path free of
-    multiprocessing machinery; otherwise they go to the process-wide
-    warm pool (:func:`~repro.core.pool.shared_pool` — spawned once,
-    reused across batches).  Both run the identical
-    :func:`~repro.core.pool.run_task`, so results are byte-for-byte the
-    same whichever dispatched them.
+    Keys a cache level already holds are skipped; the rest are ordered
+    longest-predicted-first by the cost model (the batch estimate lands
+    in ``report.predicted_core_s`` before anything executes) and run
+    in-process at ``jobs == 1`` (or for a single pending run), on the
+    process-wide warm pool otherwise — the identical task tuple through
+    the identical :func:`~repro.core.pool.run_task`, so results are
+    byte-for-byte the same either way.  A key that raises (or whose
+    worker dies) lands in ``report.failed``; the rest still complete.
 
-    A key that raises (or whose worker dies) is appended to
-    ``report.failed`` with the traceback and the remaining runs still
-    complete — one poisoned run no longer aborts the batch.
-
-    ``span_context_for`` (serving tier) maps a key to trace baggage the
-    worker carries across the process boundary and returns stamped with
-    its wall-clock window; ``on_run`` receives each executed run's
-    ``(key, captured events, stamped context)`` as it completes.
-    ``events_per_run`` caps the event stream a worker ships back (the
-    overflow is counted, not pickled — the serving tier truncates to its
-    per-run budget at the source).
-
-    Keys in ``profile_keys`` are simulated *even when cached* — a profile
-    only exists for an executed run — with attribution captured in the
-    worker; each resulting run document is added to ``collector`` (a
-    :class:`~repro.profiling.ProfileCollector`) when one is given, and is
-    always available to ``on_run`` via ``info["profile"]``.
+    ``on_run(key, info)`` receives each executed run's side data as it
+    completes (see :func:`~repro.core.pool.run_task`).  A non-zero
+    ``trace_capacity`` traces each run into a private ring of that size,
+    and ``events_per_run`` cuts the events it ships back.  Keys in
+    ``profile_keys`` are simulated *even when cached* — a profile only
+    exists for an executed run.
     """
     report = report or PrewarmReport()
     report.workers = resolve_jobs(jobs)
@@ -219,51 +210,27 @@ def execute_runs(
     model = cost_model()
     pending = order_longest_first(pending)
     report.predicted_core_s = sum(model.predict(key) for key in pending)
-
-    capture = trace_capacity if tracer is not None and tracer.enabled else 0
-
-    def context_for(key: RunKey) -> Optional[dict]:
-        return span_context_for(key) if span_context_for is not None else None
-
-    def completed(key: RunKey, metrics, events, info, elapsed_s: float) -> None:
-        model.observe(key, elapsed_s)
-        _experiment.cache_store(key, metrics, elapsed_s=elapsed_s)
-        if events:
-            _merge_worker_trace(tracer, run_label(key), events)
-        if collector is not None and info and info.get("profile"):
-            collector.add(info["profile"])
-        if on_run is not None:
-            on_run(key, events, info)
-        report.executed += 1
-
-    def failed(key: RunKey, error: str) -> None:
-        report.failed.append((key, error))
-
-    if report.workers == 1 or len(pending) <= 1:
-        for key in pending:
-            begin = time.perf_counter()
-            try:
-                metrics, events, info = run_task(
-                    key, capture, context_for(key),
-                    key in profile_keys, events_per_run,
-                )
-            except Exception:
-                failed(key, traceback.format_exc(limit=20))
-                continue
-            completed(key, metrics, events, info, time.perf_counter() - begin)
+    tasks = [
+        (key, trace_capacity, key in profile_keys, events_per_run) for key in pending
+    ]
+    pool = None
+    if report.workers == 1 or len(tasks) <= 1:
+        results = _run_in_process(tasks)
     else:
         pool = shared_pool(report.workers)
-        tasks = [
-            (key, capture, context_for(key), key in profile_keys, events_per_run)
-            for key in pending
-        ]
-        for result in pool.run_batch(tasks):
-            key = pending[result.index]
-            if result.ok:
-                metrics, events, info = result.payload
-                completed(key, metrics, events, info, result.elapsed_s)
-            else:
-                failed(key, result.error or "unknown worker failure")
+        results = pool.run_batch(tasks)
+    for result in results:
+        key = pending[result.index]
+        if not result.ok:
+            report.failed.append((key, result.error or "unknown worker failure"))
+            continue
+        metrics, info = result.payload
+        model.observe(key, result.elapsed_s)
+        _experiment.cache_store(key, metrics, elapsed_s=result.elapsed_s)
+        if on_run is not None:
+            on_run(key, info)
+        report.executed += 1
+    if pool is not None:
         report.pool = pool.stats_document()
     report.execute_s = time.time() - start
     return report
@@ -274,25 +241,35 @@ def prewarm_experiments(
     kwargs_for: Callable[[str], Dict[str, Any]],
     jobs: int,
     tracer=None,
-    registry: Optional[Dict[str, Callable]] = None,
-    unplannable: Iterable[str] = (),
     collector=None,
 ) -> PrewarmReport:
     """Plan + execute: after this, running the experiments is cache-only.
 
-    With a ``collector``, every planned run is executed with attribution
+    With a ``tracer``, each executed run's events land in it under
+    per-run track names, and the run's counters, histograms and dropped
+    events are added to its metrics and drop count.  With a
+    ``collector``, every planned run is executed with attribution
     (cached or not) and its profile document lands in the collector.
     """
     report = PrewarmReport(experiments=list(experiment_ids))
     start = time.time()
-    keys, skipped = plan_runs(
-        experiment_ids, kwargs_for, registry=registry, unplannable=unplannable
-    )
+    keys, report.unplannable = plan_runs(experiment_ids, kwargs_for)
     report.plan_s = time.time() - start
     report.planned = len(keys)
-    report.unplannable = skipped
-    profile_keys = set(keys) if collector is not None else None
+    tracing = tracer is not None and tracer.enabled
+
+    def on_run(key: RunKey, info: Dict[str, Any]) -> None:
+        if tracing:
+            if info["events"]:
+                _merge_worker_trace(tracer, info["run"], info["events"])
+            tracer.metrics.absorb(info["counters"], info["histograms"])
+            tracer.dropped += info["events_dropped"]
+        if collector is not None and info["profile"]:
+            collector.add(info["profile"])
+
     return execute_runs(
-        keys, jobs, tracer=tracer, report=report,
-        profile_keys=profile_keys, collector=collector,
+        keys, jobs, report=report,
+        trace_capacity=WORKER_TRACE_CAPACITY if tracing else 0,
+        profile_keys=set(keys) if collector is not None else None,
+        on_run=on_run,
     )

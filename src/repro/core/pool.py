@@ -27,10 +27,9 @@ This module keeps the service machinery *resident*:
   began) are exported through ``/metrics`` and the prewarm summary.
 
 The pool never touches simulation semantics: workers run the same
-:func:`repro.core.experiment.simulate_run` as the serial path, results
-are keyed, and the caches are filled in the parent — so pooled and
-serial results are byte-for-byte identical regardless of dispatch
-order.
+:func:`run_task` as the in-process path, results are keyed, and the
+caches are filled in the parent — so pooled and in-process results are
+byte-for-byte identical regardless of dispatch order.
 
 Dispatch order itself comes from the cost model
 (:class:`repro.core.runcache.CostModel`): pending keys are sorted
@@ -144,29 +143,19 @@ def order_longest_first(keys: Sequence[RunKey]) -> List[RunKey]:
 def run_task(
     key: RunKey,
     trace_capacity: int,
-    span_context: Optional[dict] = None,
     profile: bool = False,
     events_limit: Optional[int] = None,
 ):
-    """Simulate one run; returns ``(metrics, events, info)``.
+    """Simulate one run; returns ``(metrics, info)``.
 
-    ``span_context`` is the serving tier's cross-process trace baggage
-    (trace ids, run label).  The worker never reads it — it only stamps
-    the run's wall-clock window onto it and ships it back, so the parent
-    can merge a worker-side span into the right end-to-end trace.  It is
-    deliberately kept out of :func:`simulate_run`: tracing identity must
-    never influence simulated results.
-
-    With ``profile=True`` the run is attributed into a private
-    :class:`~repro.profiling.Profiler` and the resulting run document is
-    shipped back under ``info["profile"]`` (profiling, like tracing,
-    never changes the metrics).
-
-    The return value is trimmed for the trip back through the pipe:
-    ``events`` is ``None`` unless tracing actually captured something,
-    ``events_limit`` truncates the stream *before* pickling (the excess
-    is counted into ``info["events_dropped"]``), and ``info`` exists only
-    when there is span context or a profile to carry.
+    ``info`` is the run's side data, trimmed for the trip through the
+    pipe: its label (``run``), ``wall_start_s``/``wall_end_s`` and
+    ``worker_pid``; ``events`` — ``None`` unless tracing
+    (``trace_capacity`` > 0) captured something, cut to ``events_limit``
+    before pickling; ``events_dropped`` (the cut plus the run tracer's
+    ring drops); the tracer's ``counters`` and ``histograms``; and
+    ``profile``, the attribution document with ``profile=True`` (else
+    ``None``).  Neither tracing nor profiling changes the metrics.
     """
     tracer = None
     if trace_capacity:
@@ -181,27 +170,26 @@ def run_task(
     wall_start_s = time.time()
     metrics = _experiment.simulate_run(key, tracer=tracer, profiler=profiler)
     wall_end_s = time.time()
-    events = None
-    dropped = 0
+    events, dropped, counters, histograms = None, 0, {}, {}
     if tracer is not None:
         events = list(tracer.events())
         dropped = tracer.dropped
         if events_limit is not None and len(events) > events_limit:
             dropped += len(events) - events_limit
             del events[events_limit:]
-        if not events:
-            events = None
-    info = None
-    if span_context is not None or profiler is not None:
-        info = dict(span_context or {})
-        info.setdefault("run", run_label(key))
-        info["wall_start_s"] = wall_start_s
-        info["wall_end_s"] = wall_end_s
-        info["worker_pid"] = os.getpid()
-        info["events_dropped"] = dropped
-        if profiler is not None:
-            info["profile"] = profiler.take_document()
-    return metrics, events, info
+        counters = {name: c.value for name, c in tracer.metrics.counters.items()}
+        histograms = tracer.metrics.histograms
+    return metrics, {
+        "run": run_label(key),
+        "wall_start_s": wall_start_s,
+        "wall_end_s": wall_end_s,
+        "worker_pid": os.getpid(),
+        "events": events or None,
+        "events_dropped": dropped,
+        "counters": counters,
+        "histograms": histograms,
+        "profile": profiler.take_document() if profiler is not None else None,
+    }
 
 
 def _warm_start() -> None:
@@ -333,9 +321,9 @@ class TaskResult:
 class WorkerPool:
     """Persistent pool of warm simulation workers (one per daemon/CLI life).
 
-    Tasks are ``(key, trace_capacity, span_context, profile, events_limit)``
-    tuples handed to ``runner`` (default :func:`run_task`) inside the
-    worker.  ``run_batch`` dispatches a batch and collects every result,
+    Tasks are ``(key, trace_capacity, profile, events_limit)`` tuples
+    handed to ``runner`` (default :func:`run_task`) inside the worker.
+    ``run_batch`` dispatches a batch and collects every result,
     isolating per-task failures; the pool survives worker crashes and
     plans worker retirement after ``recycle_after`` tasks.
 

@@ -114,7 +114,8 @@ def register(experiment_id: str, plannable: bool = True) -> Callable:
     """Decorator: add an experiment function to the registry.
 
     ``plannable=False`` marks experiments whose simulations bypass
-    ``run_workloads``; the parallel engine leaves them to the serial pass.
+    ``run_workloads``; planning skips them and they simulate inline when
+    the experiment runs.
     """
 
     def decorator(fn: Callable[..., ExperimentResult]) -> Callable[..., ExperimentResult]:

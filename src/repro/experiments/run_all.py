@@ -10,12 +10,14 @@ Usage::
 ``--quick`` trims the workload grid (6 CPU apps, 4 GPU apps) for a fast
 smoke pass; the full grid reproduces every bar the paper plots.
 
-``--jobs N`` fans the simulations out over N worker processes (0 = one
-per CPU core; default 1 = serial).  Results are bit-for-bit identical to
-a serial run — the simulator is deterministic and workers execute the
-exact same code.  ``--cache-dir DIR`` adds a persistent result cache so
-repeated invocations skip already-simulated runs; entries are invalidated
-automatically when the simulator's code changes.  See docs/performance.md.
+Every invocation plans its runs, executes them, then assembles the
+tables from the cache.  ``--jobs N`` fans the simulations out over N
+worker processes (0 = one per CPU core; default 1 = in-process).  Results
+are bit-for-bit identical either way — the simulator is deterministic and
+workers execute the exact same code.  ``--cache-dir DIR`` adds a
+persistent result cache so repeated invocations skip already-simulated
+runs; entries are invalidated automatically when the simulator's code
+changes.  See docs/performance.md.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="simulate runs on N worker processes (0 = one per CPU core; "
-        "default 1 = serial; results are identical either way)",
+        "default 1 = in-process; results are identical either way)",
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
@@ -201,6 +203,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if unknown:
         parser.error(f"unknown experiments: {unknown}; known: {sorted(REGISTRY)}")
 
+    # Systems built outside the planned grid (table1's inline probes) pick
+    # the tracer and the collector up as process defaults.
     tracer = None
     if args.trace:
         from ..telemetry import Tracer, set_active_tracer
@@ -213,8 +217,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from ..profiling import ProfileCollector, set_active_collector
 
         collector = ProfileCollector()
-        # Systems built outside the planned grid (e.g. table1's inline
-        # simulations) pick the collector up as the process default.
         set_active_collector(collector)
 
     if args.cache_dir:
@@ -227,21 +229,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             experiment_id, quick=args.quick, horizon_ms=args.horizon_ms
         )
 
-    # Profiling forces the plan/execute path even serially: a profile only
-    # exists for an *executed* run, so cached keys must be re-simulated.
-    if args.jobs != 1 or collector is not None:
-        from ..core import prewarm_experiments
+    # Plan, execute (in-process at --jobs 1), then assemble from the cache.
+    from ..core import prewarm_experiments
 
-        report = prewarm_experiments(
-            targets,
-            kwargs_for,
-            jobs=args.jobs,
-            tracer=tracer,
-            unplannable=UNPLANNABLE,
-            collector=collector,
-        )
-        print(report.summary())
-        print()
+    report = prewarm_experiments(
+        targets, kwargs_for, jobs=args.jobs, tracer=tracer, collector=collector
+    )
+    print(report.summary())
+    print()
 
     results = []
     for experiment_id in targets:

@@ -13,11 +13,10 @@ a time to show *why* the system behaves as it does:
 * ``sweep_qos`` — a fine-grained threshold curve for the governor,
   including the adaptive mode as the final row.
 
-Each sweep names its full run batch up front (``make_run_key``) and
-pushes it through :func:`~repro.core.execute_runs` before building rows,
-so a sweep rides the warm worker pool, cost-model dispatch, and the disk
-cache, and gains a ``jobs`` parameter — with rows byte-identical to the
-old serial path because row assembly stays pure cache hits.
+Like every figure, a sweep is plannable: ``hiss-experiments`` and the
+serving tier record its runs, execute them through the planner (on the
+warm worker pool at ``--jobs`` > 1), and then build the rows from the
+cache.
 """
 
 from __future__ import annotations
@@ -26,26 +25,8 @@ from dataclasses import replace
 from typing import List, Optional
 
 from ..config import SystemConfig
-from ..core import make_run_key, run_workloads
-from ..core.experiment import planning_active
-from ..core.planner import execute_runs
-from ..core.runcache import RunKey
+from ..core import run_workloads
 from .common import EXPERIMENT_HORIZON_NS, ExperimentResult, register
-
-
-def _fan_out(keys: List[RunKey], jobs: int) -> None:
-    """Pre-execute a sweep's full run batch through the planner backend.
-
-    One call fills both cache levels (warm worker pool, cost-model
-    dispatch, disk cache when configured), so the row-building loops
-    below are pure cache hits — their arithmetic is byte-identical to
-    the old serial path.  During planning the keys are already being
-    recorded by the ``run_workloads`` placeholders, so executing here
-    would defeat the plan/execute split; skip.
-    """
-    if planning_active():
-        return
-    execute_runs(keys, jobs=jobs)
 
 
 @register("sweep_coalesce")
@@ -54,16 +35,9 @@ def sweep_coalesce(
     cpu_name: str = "x264",
     windows_us: Optional[List[int]] = None,
     horizon_ns: int = EXPERIMENT_HORIZON_NS,
-    jobs: int = 1,
 ) -> ExperimentResult:
     config = config or SystemConfig()
     windows_us = windows_us or [0, 4, 13, 26, 52]
-    keys = [make_run_key(cpu_name, "ubench", False, config, horizon_ns)]
-    for window in windows_us:
-        swept = config.with_mitigation(coalesce_window_ns=window * 1_000)
-        keys.append(make_run_key(cpu_name, "ubench", True, swept, horizon_ns))
-        keys.append(make_run_key(None, "sssp", True, swept, horizon_ns))
-    _fan_out(keys, jobs)
     result = ExperimentResult(
         experiment_id="sweep_coalesce",
         title="Ablation: IOMMU coalescing window",
@@ -96,20 +70,9 @@ def sweep_outstanding(
     config: Optional[SystemConfig] = None,
     limits: Optional[List[int]] = None,
     horizon_ns: int = EXPERIMENT_HORIZON_NS,
-    jobs: int = 1,
 ) -> ExperimentResult:
     config = config or SystemConfig()
     limits = limits or [1, 2, 4, 8, 16, 32, 64]
-    qos_base = config.with_qos(enabled=True, ssr_time_threshold=0.01)
-    keys = []
-    for limit in limits:
-        swept = replace(config, gpu=replace(config.gpu, max_outstanding_ssrs=limit))
-        keys.append(make_run_key(None, "ubench", True, swept, horizon_ns))
-        swept_qos = replace(
-            qos_base, gpu=replace(qos_base.gpu, max_outstanding_ssrs=limit)
-        )
-        keys.append(make_run_key("x264", "ubench", True, swept_qos, horizon_ns))
-    _fan_out(keys, jobs)
     result = ExperimentResult(
         experiment_id="sweep_outstanding",
         title="Ablation: GPU outstanding-SSR hardware limit",
@@ -137,27 +100,9 @@ def sweep_dispatch(
     config: Optional[SystemConfig] = None,
     latencies_us: Optional[List[int]] = None,
     horizon_ns: int = EXPERIMENT_HORIZON_NS,
-    jobs: int = 1,
 ) -> ExperimentResult:
     config = config or SystemConfig()
     latencies_us = latencies_us or [0, 6, 18, 36, 72]
-    keys = []
-    for latency in latencies_us:
-        swept = replace(
-            config,
-            os_path=replace(config.os_path, bottom_half_dispatch_ns=latency * 1_000),
-        )
-        keys.append(make_run_key("streamcluster", "sssp", True, swept, horizon_ns))
-        keys.append(
-            make_run_key(
-                "streamcluster",
-                "sssp",
-                True,
-                swept.with_mitigation(monolithic_bottom_half=True),
-                horizon_ns,
-            )
-        )
-    _fan_out(keys, jobs)
     result = ExperimentResult(
         experiment_id="sweep_dispatch",
         title="Ablation: bottom-half dispatch latency vs monolithic gain",
@@ -192,35 +137,9 @@ def sweep_qos(
     cpu_name: str = "x264",
     thresholds: Optional[List[float]] = None,
     horizon_ns: int = EXPERIMENT_HORIZON_NS,
-    jobs: int = 1,
 ) -> ExperimentResult:
     config = config or SystemConfig()
     thresholds = thresholds or [0.25, 0.10, 0.05, 0.02, 0.01]
-    keys = [
-        make_run_key(cpu_name, "ubench", False, config, horizon_ns),
-        make_run_key(None, "ubench", True, config, horizon_ns),
-        make_run_key(cpu_name, "ubench", True, config, horizon_ns),
-    ]
-    for threshold in thresholds:
-        keys.append(
-            make_run_key(
-                cpu_name,
-                "ubench",
-                True,
-                config.with_qos(enabled=True, ssr_time_threshold=threshold),
-                horizon_ns,
-            )
-        )
-    keys.append(
-        make_run_key(
-            cpu_name,
-            "ubench",
-            True,
-            config.with_qos(enabled=True, adaptive=True),
-            horizon_ns,
-        )
-    )
-    _fan_out(keys, jobs)
     result = ExperimentResult(
         experiment_id="sweep_qos",
         title="Ablation: QoS threshold curve (plus adaptive mode)",

@@ -16,7 +16,8 @@ events' own timestamps), so the report for a given capture + spec set is
 byte-for-byte reproducible — run it twice, diff the files, get nothing.
 Live mode asks the daemon's ``GET /v1/alerts`` for its current verdicts
 instead.  Exit codes: ``evaluate`` exits 3 with ``--fail-on-firing``
-when any rule fires; ``validate`` exits 1 on schema problems.
+when any rule fires; ``validate`` exits 1 on schema problems; ``diff``
+exits 2 when an input is not a job trace.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .slo import (
     slo_document,
     validate_slo_document,
 )
-from .traces import trace_diff
+from .traces import trace_diff, trace_problems
 
 
 PROG = "hiss-slo"
@@ -120,13 +121,18 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
+    names = (args.baseline, args.compare)
     if args.url:
-        doc_a = _fetch(args.url, f"/v1/jobs/{args.baseline}/trace")
-        doc_b = _fetch(args.url, f"/v1/jobs/{args.compare}/trace")
+        docs = [_fetch(args.url, f"/v1/jobs/{name}/trace") for name in names]
     else:
-        doc_a = load_json(PROG, args.baseline, what="trace")
-        doc_b = load_json(PROG, args.compare, what="trace")
-    diff = trace_diff(doc_a, doc_b)
+        docs = [load_json(PROG, name, what="trace") for name in names]
+    invalid = [
+        print_invalid(trace_problems(doc), where=f"{name}: ")
+        for name, doc in zip(names, docs)
+    ]
+    if any(invalid):
+        return 2
+    diff = trace_diff(*docs)
     if args.json:
         print(json.dumps(diff, indent=2, sort_keys=True))
     else:

@@ -21,14 +21,15 @@ than heuristic:
   is the queueing-delay attribution the paper makes for SSRs, applied
   to the service's own pipeline.
 
-All three are pure functions of the documents passed in.
+All three are pure functions of the documents passed in;
+:func:`trace_problems` says whether a document is one they can read.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["critical_path", "stage_decomposition", "trace_diff"]
+__all__ = ["critical_path", "stage_decomposition", "trace_diff", "trace_problems"]
 
 #: Serial stage categories in pipeline order (as emitted by
 #: ``repro.service.obs.build_trace_document``).
@@ -43,6 +44,24 @@ _STAGE_LABELS = {
     "batch_overhead": "batch: scheduling overhead",
     "render": "render",
 }
+
+
+def trace_problems(doc: Any) -> List[str]:
+    """Why ``doc`` is not a job trace these analyses can read ([] if it is).
+
+    Only what they read is checked: a ``spans`` array of objects that each
+    carry a string ``span_id``, one of them the ``root`` span.
+    """
+    if not isinstance(doc, dict) or not isinstance(doc.get("spans"), list):
+        return ["not a job trace: no 'spans' array"]
+    problems = [
+        f"spans[{index}] has no string 'span_id'"
+        for index, span in enumerate(doc["spans"])
+        if not isinstance(span, dict) or not isinstance(span.get("span_id"), str)
+    ]
+    if not any(isinstance(s, dict) and s.get("span_id") == "root" for s in doc["spans"]):
+        problems.append("no 'root' span")
+    return problems
 
 
 def _spans_by_id(doc: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:

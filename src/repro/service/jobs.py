@@ -155,9 +155,9 @@ class Job:
     render_start_s: Optional[float] = None
     #: How many jobs shared the batch that served this one.
     batch_size: int = 0
-    #: Runs pool workers simulated on this job's behalf: per run the
-    #: wall-clock window, worker pid, span context, and (tracing on) the
-    #: captured in-sim event stream.
+    #: Runs simulated on this job's behalf: per run its label, the trace
+    #: ids of the jobs that planned it, its wall-clock window, worker pid,
+    #: and (tracing on) the captured in-sim event stream.
     sim_runs: List[dict] = field(default_factory=list)
     #: With ``spec.profile``, one ``hiss.profile.run/1`` document per
     #: simulated run (served as a bundle at ``/v1/jobs/<id>/profile``).

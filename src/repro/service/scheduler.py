@@ -1,8 +1,7 @@
 """The job scheduler: batch queued jobs onto the parallel run engine.
 
 One background thread drains the admission queue in batches.  Each batch
-is served exactly the way ``hiss-experiments --jobs N`` serves a CLI
-invocation:
+is served exactly the way ``hiss-experiments`` serves a CLI invocation:
 
 1. every job was already *planned* at submission time (run keys recorded
    via :func:`repro.core.experiment.planning`), so the batch's union of
@@ -38,9 +37,15 @@ import traceback
 from typing import Callable, List, Optional, Tuple
 
 from ..core import experiment as _experiment
-from ..core.planner import execute_runs, plan_runs, resolve_jobs, run_label
+from ..core.planner import (
+    WORKER_TRACE_CAPACITY,
+    execute_runs,
+    plan_runs,
+    resolve_jobs,
+    run_label,
+)
 from ..core.runcache import RunKey, cost_model, run_key_digest
-from ..telemetry import MetricsRegistry, Tracer
+from ..telemetry import MetricsRegistry
 from .admission import AdmissionController, ServiceGovernor
 from .jobs import CANCELLED, DONE, FAILED, RUNNING, Job, JobStore
 from .obs import OpsLog, sim_event_dict
@@ -50,6 +55,11 @@ __all__ = ["JobScheduler", "dedupe_key_for", "plan_spec"]
 #: Serializes use of the non-reentrant planning/replay machinery.
 _PLAN_LOCK = threading.Lock()
 
+#: Events of a run stored into a job.  The cut keeps a run's *first*
+#: events, after its tracer's ring (``WORKER_TRACE_CAPACITY``) has kept the
+#: newest; everything either one discards is counted as dropped.
+TRACE_EVENTS_PER_RUN = 4000
+
 
 def plan_spec(spec) -> Tuple[List[RunKey], List[str]]:
     """Plan a job spec into ``(ordered run keys, serial-only experiments)``.
@@ -58,7 +68,6 @@ def plan_spec(spec) -> Tuple[List[RunKey], List[str]]:
     path can afford it per request — it is what makes RunKey-level dedupe
     and the warm-cache fast path possible before a job is even queued.
     """
-    from ..experiments.common import REGISTRY, UNPLANNABLE
     from ..experiments.run_all import experiment_kwargs
 
     def kwargs_for(experiment_id: str) -> dict:
@@ -67,9 +76,7 @@ def plan_spec(spec) -> Tuple[List[RunKey], List[str]]:
         )
 
     with _PLAN_LOCK:
-        return plan_runs(
-            spec.experiments, kwargs_for, registry=REGISTRY, unplannable=UNPLANNABLE
-        )
+        return plan_runs(spec.experiments, kwargs_for)
 
 
 def dedupe_key_for(spec, run_keys: List[RunKey]) -> str:
@@ -100,8 +107,6 @@ class JobScheduler:
         poll_s: float = 0.2,
         clock: Callable[[], float] = time.time,
         trace: bool = True,
-        trace_capacity: int = 100_000,
-        trace_events_per_run: int = 4000,
         ops_log: Optional[OpsLog] = None,
         flight=None,
     ):
@@ -116,11 +121,8 @@ class JobScheduler:
         #: attach it to the jobs that planned the run.  Span/timestamp
         #: bookkeeping happens regardless; this only gates event capture.
         self.trace = trace
-        self.trace_capacity = trace_capacity
-        #: Per-run cap on events stored into a job (ring saturation is
-        #: reported, never silent — see ``service.trace.dropped_events``).
-        self.trace_events_per_run = trace_events_per_run
-        #: In-sim events dropped by worker rings or the per-run cap.
+        #: In-sim events dropped by run rings or the per-run cap (reported,
+        #: never silent — see ``service.trace.dropped_events``).
         self.trace_dropped = 0
         self.ops_log = ops_log if ops_log is not None else OpsLog(None)
         #: Flight recorder; when set, each executed run's event tail and
@@ -349,62 +351,52 @@ class JobScheduler:
     def _execute_batch(
         self, pending: List[RunKey], needed_by: dict, profile_keys: set
     ):
-        """Fan the batch's runs out, threading span context through workers.
+        """Fan the batch's runs out and attach each one to its jobs.
 
-        Every run carries the trace ids of the jobs that planned it across
-        the process boundary; the worker stamps its wall-clock window (and,
-        with tracing on, its in-sim event stream) onto that context, and
-        the merge here attaches the result to each interested job.  Keys
-        in ``profile_keys`` come back with an attribution document, which
-        lands on the ``profiles`` of every interested job that asked.
+        A run comes back with its wall-clock window, worker pid and (with
+        tracing on) its cut event stream; the trace ids of the jobs that
+        planned it come from ``needed_by``.  Keys in ``profile_keys`` come
+        back with an attribution document, which lands on the
+        ``profiles`` of every interested job that asked.
         """
-        tracer = Tracer(capacity=self.trace_capacity) if self.trace else None
 
-        def span_context_for(key: RunKey):
-            return {
-                "run": run_label(key),
-                "trace_ids": [job.trace_id for job in needed_by.get(key, [])],
-            }
-
-        def on_run(key: RunKey, events, info) -> None:
-            if info is None:
-                return
-            profile_doc = info.pop("profile", None)
-            cap = self.trace_events_per_run
+        def on_run(key: RunKey, info: dict) -> None:
+            jobs = needed_by.get(key, [])
+            profile_doc = info["profile"]
+            events = info["events"]
             serialized = None
             if events is not None:
-                serialized = [sim_event_dict(event) for event in events[:cap]]
-                overflow = max(0, len(events) - cap)
-                dropped = int(info.get("events_dropped", 0)) + overflow
-                info["events_dropped"] = dropped
-                if dropped:
-                    self.trace_dropped += dropped
-                    self.metrics.counter("service.trace.dropped_events").inc(dropped)
-            for job in needed_by.get(key, []):
-                run_doc = dict(info)
-                run_doc["events"] = serialized
-                job.sim_runs.append(run_doc)
+                serialized = [sim_event_dict(event) for event in events]
+            dropped = info["events_dropped"]
+            if dropped:
+                self.trace_dropped += dropped
+                self.metrics.counter("service.trace.dropped_events").inc(dropped)
+            run_doc = {
+                "run": info["run"],
+                "trace_ids": [job.trace_id for job in jobs],
+                "wall_start_s": info["wall_start_s"],
+                "wall_end_s": info["wall_end_s"],
+                "worker_pid": info["worker_pid"],
+                "events_dropped": dropped,
+            }
+            for job in jobs:
+                job.sim_runs.append(dict(run_doc, events=serialized))
                 if profile_doc is not None and job.spec.profile:
                     job.profiles.append(profile_doc)
             if self.flight is not None:
-                self.flight.note_run(info, serialized, profile_doc)
+                self.flight.note_run(run_doc, serialized, profile_doc)
             self.ops_log.log(
-                "run.executed", run=info.get("run"),
-                traces=info.get("trace_ids"), worker_pid=info.get("worker_pid"),
-                wall_s=round(info["wall_end_s"] - info["wall_start_s"], 6),
+                "run.executed", run=run_doc["run"], traces=run_doc["trace_ids"],
+                worker_pid=run_doc["worker_pid"],
+                wall_s=round(run_doc["wall_end_s"] - run_doc["wall_start_s"], 6),
                 profiled=profile_doc is not None,
             )
 
-        report = execute_runs(
+        return execute_runs(
             pending,
             jobs=self.jobs,
-            tracer=tracer,
-            span_context_for=span_context_for,
-            on_run=on_run,
+            trace_capacity=WORKER_TRACE_CAPACITY if self.trace else 0,
+            events_per_run=TRACE_EVENTS_PER_RUN if self.trace else None,
             profile_keys=profile_keys,
-            events_per_run=self.trace_events_per_run if self.trace else None,
+            on_run=on_run,
         )
-        if tracer is not None and tracer.dropped:
-            self.trace_dropped += tracer.dropped
-            self.metrics.counter("service.trace.dropped_events").inc(tracer.dropped)
-        return report

@@ -301,6 +301,21 @@ class MetricsRegistry:
                 histogram = self._histograms.setdefault(name, Histogram(name, **kwargs))
         return histogram
 
+    def absorb(self, counters: Dict[str, int], histograms: Dict[str, Histogram]) -> None:
+        """Add another registry's counter values and histograms into this one.
+
+        A histogram new to this registry takes the incoming one's bucket
+        edges, so every same-named pair merges.
+        """
+        for name, value in counters.items():
+            self.counter(name).inc(value)
+        for name, histogram in histograms.items():
+            mine = self._histograms.get(name)
+            if mine is None:
+                with self._create_lock:
+                    mine = self._histograms.setdefault(name, histogram.spawn_empty(name))
+            mine.merge(histogram)
+
     @property
     def counters(self) -> Dict[str, Counter]:
         return dict(self._counters)

@@ -29,7 +29,6 @@ from repro.core import (
 from repro.core.experiment import cache_lookup
 from repro.core.pool import TaskResult, WorkerPool
 from repro.core.runcache import CostModel
-from repro.experiments.common import UNPLANNABLE
 
 HORIZON = 1_000_000
 CPUS = ["x264", "blackscholes"]
@@ -61,7 +60,7 @@ def kwargs_for(experiment_id: str) -> dict:
 
 
 def fig4_keys():
-    keys, skipped = plan_runs(["fig4"], kwargs_for, unplannable=UNPLANNABLE)
+    keys, skipped = plan_runs(["fig4"], kwargs_for)
     assert keys and skipped == []
     return keys
 

@@ -1,5 +1,7 @@
 """Tests for the parallel experiment engine: planning, fan-out, equivalence."""
 
+import json
+
 import pytest
 
 from repro.config import SystemConfig
@@ -16,7 +18,7 @@ from repro.core import (
 )
 from repro.core.experiment import _CACHE
 from repro.experiments import run_experiment
-from repro.experiments.common import REGISTRY, UNPLANNABLE
+from repro.experiments.common import UNPLANNABLE
 
 #: Short horizon + tiny grids keep every test here in seconds.
 HORIZON = 1_000_000
@@ -60,24 +62,27 @@ class TestPlanning:
         assert metrics.interrupt_balance() >= 0
 
     def test_fig3a_plan_is_the_full_grid(self):
-        keys, skipped = plan_runs(["fig3a"], kwargs_for, unplannable=UNPLANNABLE)
+        keys, skipped = plan_runs(["fig3a"], kwargs_for)
         # Each (cpu, gpu) pair needs an SSR and a no-SSR run.
         assert len(keys) == len(CPUS) * len(GPUS) * 2
         assert skipped == []
 
     def test_shared_baselines_dedupe_across_figures(self):
-        keys_a, _ = plan_runs(["fig3a"], kwargs_for, unplannable=UNPLANNABLE)
-        keys_both, _ = plan_runs(
-            ["fig3a", "fig3b"], kwargs_for, unplannable=UNPLANNABLE
-        )
+        keys_a, _ = plan_runs(["fig3a"], kwargs_for)
+        keys_both, _ = plan_runs(["fig3a", "fig3b"], kwargs_for)
         # fig3b reuses fig3a's SSR pair runs and adds idle-CPU baselines.
         assert len(keys_both) < len(keys_a) + len(CPUS) * len(GPUS) + len(GPUS)
         assert len(set(keys_both)) == len(keys_both)
 
-    def test_unplannable_experiments_are_skipped(self):
-        keys, skipped = plan_runs(
-            ["table1"], lambda _eid: {}, unplannable=UNPLANNABLE
-        )
+    def test_unplannable_experiments_are_skipped(self, monkeypatch):
+        from repro.core import System
+
+        def no_simulation(self, *args, **kwargs):
+            raise AssertionError("planning simulated a System")
+
+        # table1 drives Systems directly: planning must never call it.
+        monkeypatch.setattr(System, "run", no_simulation)
+        keys, skipped = plan_runs(["table1"], lambda _eid: {})
         assert keys == []
         assert skipped == ["table1"]
         assert "table1" in UNPLANNABLE
@@ -89,8 +94,8 @@ class TestPlanning:
                     pass
 
     def test_plan_order_is_deterministic(self):
-        first, _ = plan_runs(["fig4"], kwargs_for, unplannable=UNPLANNABLE)
-        second, _ = plan_runs(["fig4"], kwargs_for, unplannable=UNPLANNABLE)
+        first, _ = plan_runs(["fig4"], kwargs_for)
+        second, _ = plan_runs(["fig4"], kwargs_for)
         assert first == second
 
 
@@ -99,9 +104,7 @@ class TestExecution:
         """The acceptance bar: --jobs N output == serial output, exactly."""
         serial = run_experiment("fig4", **kwargs_for("fig4"))
         clear_cache()
-        report = prewarm_experiments(
-            ["fig4"], kwargs_for, jobs=2, unplannable=UNPLANNABLE
-        )
+        report = prewarm_experiments(["fig4"], kwargs_for, jobs=2)
         assert report.executed == report.planned > 0
         parallel = run_experiment("fig4", **kwargs_for("fig4"))
         assert parallel.columns == serial.columns
@@ -110,12 +113,12 @@ class TestExecution:
     def test_parallel_fig3a_equivalence(self):
         serial = run_experiment("fig3a", **kwargs_for("fig3a"))
         clear_cache()
-        prewarm_experiments(["fig3a"], kwargs_for, jobs=2, unplannable=UNPLANNABLE)
+        prewarm_experiments(["fig3a"], kwargs_for, jobs=2)
         parallel = run_experiment("fig3a", **kwargs_for("fig3a"))
         assert parallel.rows == serial.rows
 
     def test_execute_runs_respects_memory_cache(self):
-        keys, _ = plan_runs(["fig4"], kwargs_for, unplannable=UNPLANNABLE)
+        keys, _ = plan_runs(["fig4"], kwargs_for)
         report = execute_runs(keys, jobs=1)
         assert report.executed == len(keys)
         again = execute_runs(keys, jobs=1)
@@ -126,7 +129,7 @@ class TestExecution:
         from repro.core import DiskCache
 
         set_disk_cache(DiskCache(str(tmp_path)))
-        keys, _ = plan_runs(["fig4"], kwargs_for, unplannable=UNPLANNABLE)
+        keys, _ = plan_runs(["fig4"], kwargs_for)
         execute_runs(keys, jobs=1)
         clear_cache()  # drop memory level; disk must serve everything
         report = execute_runs(keys, jobs=1)
@@ -158,6 +161,45 @@ class TestCli:
         assert "planned" in out
         assert "worker" in out
         assert "cache" in out
+
+    def test_trace_is_the_same_at_every_jobs(self, tmp_path, capsys):
+        from collections import Counter
+
+        from repro.core.pool import run_label
+        from repro.experiments.run_all import experiment_kwargs, main
+
+        def trace(jobs: int):
+            clear_cache()  # a cached run is not re-simulated, so not traced
+            path = tmp_path / f"trace-j{jobs}.json"
+            argv = ["fig4", "--quick", "--horizon-ms", "2", "--trace", str(path)]
+            assert main(argv + ["--jobs", str(jobs)]) == 0
+            doc = json.loads(path.read_text())
+            tracks = {
+                (e["pid"], e["tid"]): e["args"]["name"]
+                for e in doc["traceEvents"]
+                if e.get("ph") == "M" and e["name"] == "thread_name"
+            }
+            events = Counter(
+                json.dumps(
+                    dict(e, track=tracks[e.pop("pid"), e.pop("tid")]),
+                    sort_keys=True,
+                )
+                for e in doc["traceEvents"]
+                if e.get("ph") != "M"
+            )
+            return set(tracks.values()), events, doc["otherData"]["metrics"]
+
+        keys, _ = plan_runs(
+            ["fig4"], lambda e: experiment_kwargs(e, quick=True, horizon_ms=2)
+        )
+        labels = {run_label(key) for key in keys}
+        serial, parallel = trace(1), trace(2)
+        capsys.readouterr()
+        for tracks, _events, _metrics in (serial, parallel):
+            assert tracks and all(t.split(" | ")[0] in labels for t in tracks)
+        assert serial[1] == parallel[1]
+        assert serial[2] == parallel[2]
+        assert serial[2]["histograms"]["ssr.latency_ns"]["count"] > 0
 
     def test_elapsed_s_serialized(self):
         result = run_experiment("fig4", **kwargs_for("fig4"))

@@ -72,20 +72,23 @@ class TestSweepQos:
 
 
 class TestSweepFanOut:
-    """The sweeps now batch through execute_runs; results must not change."""
+    """A sweep fans out through the planner like any figure."""
 
     def test_jobs_parallel_rows_identical_to_serial(self):
-        from repro.core import clear_cache
+        from repro.core import clear_cache, prewarm_experiments
+
+        def kwargs_for(_experiment_id):
+            return {"thresholds": [0.05], "horizon_ns": HORIZON}
 
         clear_cache()
-        serial = run_experiment(
-            "sweep_qos", thresholds=[0.05], horizon_ns=HORIZON, jobs=1
-        )
+        serial = run_experiment("sweep_qos", **kwargs_for("sweep_qos"))
         clear_cache()
-        parallel = run_experiment(
-            "sweep_qos", thresholds=[0.05], horizon_ns=HORIZON, jobs=2
-        )
+        report = prewarm_experiments(["sweep_qos"], kwargs_for, jobs=2)
+        assert report.executed == report.planned > 0 and not report.failed
+        assert report.pool  # the runs went to worker processes
+        parallel = run_experiment("sweep_qos", **kwargs_for("sweep_qos"))
         assert serial.rows == parallel.rows
+        clear_cache()
 
     def test_sweeps_remain_plannable(self):
         from repro.core import clear_cache

@@ -79,6 +79,7 @@ CASES = [
     ("slo-default-spec", "hiss-slo", ["default-spec"], []),
     ("slo-missing", "hiss-slo", ["validate", "missing.json"], []),
     ("slo-invalid-json", "hiss-slo", ["diff", "invalid.json", "job_b.json"], []),
+    ("slo-diff-not-a-trace", "hiss-slo", ["diff", "not_a_document.json", "job_b.json"], []),
     ("postmortem-render", "hiss-postmortem",
      ["render", "pm/pm-000000-manual.json", "-o", "postmortem.html"],
      ["postmortem.html"]),

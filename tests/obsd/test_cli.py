@@ -143,3 +143,29 @@ class TestDiff:
         capsys.readouterr()
         html = out.read_bytes()
         assert b"hiss-slo-diff-data" in html
+
+    def test_diff_rejects_files_that_are_not_job_traces(self, tmp_path, capsys):
+        good = _trace_file(tmp_path, "job-b", queue_s=2.05, name="b.json")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"spans": [{"span_id": "queue"}, {"name": "x"}]}))
+        assert main(["diff", str(bad), good]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"INVALID: {bad}: spans[1] has no string 'span_id'",
+            f"INVALID: {bad}: no 'root' span",
+        ]
+
+    def test_diff_rejects_fetched_documents_that_are_not_job_traces(
+        self, monkeypatch, capsys
+    ):
+        from repro.obsd import cli
+
+        served = {"/v1/jobs/job-a/trace": {"error": "gone"},
+                  "/v1/jobs/job-b/trace": {"spans": "nope"}}
+        monkeypatch.setattr(cli, "_fetch", lambda url, path: served[path])
+        assert main(["diff", "--url", "http://x", "job-a", "job-b"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "INVALID: job-a: not a job trace: no 'spans' array",
+            "INVALID: job-b: not a job trace: no 'spans' array",
+        ]

@@ -224,6 +224,24 @@ class TestResultBytesUnchanged:
             assert all(not run["events"] for run in trace["sim"])
 
 
+class TestDroppedEvents:
+    def test_dropped_gauge_counts_exactly_the_runs_own_drops(self):
+        # 52 runs keep about 103k events between them: more than a
+        # 100,000-event batch-wide ring holds, so one would inflate the gauge.
+        clear_cache()
+        with _serve(jobs=2) as svc:
+            client = ServiceClient(svc.url, timeout_s=30)
+            body = client.submit(["fig3a", "fig3b"], quick=True, horizon_ms=5.0)
+            job_id = body["job"]["id"]
+            assert client.wait(job_id, timeout_s=300)["state"] == "done"
+            trace = client.trace(job_id)
+            gauges = client.metrics()["gauges"]
+        assert sum(len(run["events"]) for run in trace["sim"]) > 100_000
+        run_drops = sum(run["events_dropped"] for run in trace["sim"])
+        assert run_drops > 0
+        assert gauges["service.trace.dropped_events"] == run_drops
+
+
 class TestOpsSurfaces:
     def test_ops_endpoint_and_top_render(self):
         with _serve() as svc:
