@@ -27,22 +27,6 @@ import json
 import sys
 from typing import List, Optional
 
-# Importing the modules populates the registry.
-from . import (  # noqa: F401
-    energy,
-    fig3a_cpu_slowdown,
-    fig3b_gpu_slowdown,
-    fig4_cc6,
-    fig5_uarch,
-    fig6_mitigations,
-    fig7_pareto_ubench,
-    fig8_pareto_apps,
-    fig9_cc6_mitigations,
-    fig12_qos,
-    stats_ipi,
-    sweeps,
-    table1_ssr_complexity,
-)
 from .common import (
     QUICK_CPU_NAMES,
     QUICK_GPU_NAMES,

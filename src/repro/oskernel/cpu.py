@@ -11,9 +11,10 @@ footprints to the threads they interrupt.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Deque, List, Optional, Tuple, TYPE_CHECKING
 
 from ..profiling.ledger import CH_IPI, CH_MODE_SWITCH, CH_TOP_HALF
+from ..sim import Interrupt, Timeout
 from . import accounting as acct
 from .thread import KIND_IDLE, KIND_USER, PRIO_IDLE, PRIO_KTHREAD, PRIO_NORMAL, Thread
 
@@ -33,13 +34,9 @@ class Core:
     def __init__(self, kernel: "Kernel", core_id: int):
         self.kernel = kernel
         self.env = kernel.env
-        self.config = kernel.config
         self.id = core_id
-        self.runqueue: Dict[int, Deque[Thread]] = {
-            PRIO_KTHREAD: deque(),
-            PRIO_NORMAL: deque(),
-            PRIO_IDLE: deque(),
-        }
+        #: One FIFO per priority, indexed by it (PRIO_KTHREAD .. PRIO_IDLE).
+        self.runqueue: List[Deque[Thread]] = [deque() for _ in range(PRIO_IDLE + 1)]
         self.current: Optional[Thread] = None
         self.last_thread: Optional[Thread] = None
         self.pending_irqs: Deque["Irq"] = deque()
@@ -49,6 +46,22 @@ class Core:
         self._grant_time = 0
         self._need_resched = False
         self._preempt_check_armed = False
+        #: This core's ``/proc/interrupts``-style counter names.
+        self.irq_counter = f"{acct.CTR_IRQ}:{core_id}"
+        self.ipi_counter = f"{acct.CTR_IPI}:{core_id}"
+        # Read on every event, so fetched once: the config is frozen and
+        # the kernel's sinks are fixed when it builds its cores.
+        scheduler = kernel.config.scheduler
+        self._timeslice_ns = scheduler.timeslice_ns
+        self._granularity_ns = scheduler.wakeup_granularity_ns
+        self._context_switch_ns = scheduler.context_switch_ns
+        self._mode_switch_ns = scheduler.mode_switch_ns
+        self._accounting = kernel.accounting
+        self._counters = kernel.counters
+        self._tracer = kernel.tracer
+        # Timer callbacks, bound once: arming a timer builds no closure.
+        self._preempt_poll = self._preempt_check
+        self._timeslice_cb = self._timeslice_expired
 
     # ------------------------------------------------------------------
     # State queries
@@ -87,8 +100,7 @@ class Core:
         self._arm_timeslice(thread)
 
     def _pick(self) -> Optional[Thread]:
-        for priority in (PRIO_KTHREAD, PRIO_NORMAL, PRIO_IDLE):
-            queue = self.runqueue[priority]
+        for queue in self.runqueue:
             if queue:
                 thread = queue.popleft()
                 thread.queued = False
@@ -106,19 +118,28 @@ class Core:
         """Context-switch penalty for ``thread`` taking over the core."""
         if self.last_thread is thread or self.last_thread is None:
             return 0
-        self.kernel.counters.bump(acct.CTR_CONTEXT_SWITCH)
-        return self.config.scheduler.context_switch_ns
+        self._counters.bump(acct.CTR_CONTEXT_SWITCH)
+        return self._context_switch_ns
+
+    def has_waiter(self, priority: int) -> bool:
+        """True if a thread of ``priority`` or a better one is queued here."""
+        runqueue = self.runqueue
+        for better in range(priority + 1):
+            if runqueue[better]:
+                return True
+        return False
 
     def should_yield(self, thread: Thread) -> bool:
         """True if ``thread`` must give the core back before running more."""
+        runqueue = self.runqueue
         for priority in range(thread.priority):
-            if self.runqueue[priority]:
+            if runqueue[priority]:
                 return True
         if self._need_resched and self.kernel.scheduler.has_work(self):
             return True
         if (
-            self.runqueue[thread.priority]
-            and self.env.now - self._grant_time >= self.config.scheduler.timeslice_ns
+            runqueue[thread.priority]
+            and self.env.now - self._grant_time >= self._timeslice_ns
         ):
             return True
         return False
@@ -139,13 +160,13 @@ class Core:
         wakeup granularity (CFS-style wakeup preemption)."""
         if self._preempt_check_armed or self.current is None:
             return
-        granularity = self.config.scheduler.wakeup_granularity_ns
+        granularity = self._granularity_ns
         elapsed = self.env.now - self._grant_time
         delay = max(0, granularity - elapsed)
         self._preempt_check_armed = True
-        self.env.call_later(delay, self._preempt_check)
+        Timeout(self.env, delay).callbacks.append(self._preempt_poll)
 
-    def _preempt_check(self) -> None:
+    def _preempt_check(self, _event) -> None:
         """Wakeup-preemption poll: keeps same-priority waiters' latency
         bounded by the granularity even across regrants (a waiter must not
         sit behind a full timeslice just because the core changed hands)."""
@@ -154,39 +175,29 @@ class Core:
         if current is None:
             self.dispatch()
             return
-        waiting = any(
-            self.runqueue[priority] for priority in range(current.priority + 1)
-        )
-        if not waiting:
+        if not self.has_waiter(current.priority):
             return
-        granularity = self.config.scheduler.wakeup_granularity_ns
+        granularity = self._granularity_ns
         elapsed = self.env.now - self._grant_time
-        if elapsed >= granularity - 0.5 or self.kernel.scheduler._needs_preempt(
-            self, current
-        ):
+        if elapsed >= granularity - 0.5:
             self.preempt("timeslice")
             # Re-arm so the next grantee is also bounded while contended.
-            self._preempt_check_armed = True
-            self.env.call_later(granularity, self._preempt_check)
+            delay = granularity
         else:
             # Floor the re-arm delay: a sub-ns residue would re-fire at the
             # same instant forever (float time resolution).
-            self._preempt_check_armed = True
-            self.env.call_later(
-                max(granularity - elapsed, 1_000), self._preempt_check
-            )
+            delay = max(granularity - elapsed, 1_000)
+        self._preempt_check_armed = True
+        Timeout(self.env, delay).callbacks.append(self._preempt_poll)
 
     def _arm_timeslice(self, thread: Thread) -> None:
         if thread.priority == PRIO_IDLE or not self.runqueue[thread.priority]:
             return
-        generation = self._grant_generation
-        self.env.call_later(
-            self.config.scheduler.timeslice_ns,
-            lambda: self._timeslice_expired(generation),
-        )
+        expiry = Timeout(self.env, self._timeslice_ns, self._grant_generation)
+        expiry.callbacks.append(self._timeslice_cb)
 
-    def _timeslice_expired(self, generation: int) -> None:
-        if generation != self._grant_generation or self.current is None:
+    def _timeslice_expired(self, expiry: Timeout) -> None:
+        if expiry.value != self._grant_generation or self.current is None:
             return
         if self.runqueue[self.current.priority]:
             self.preempt("timeslice")
@@ -197,8 +208,8 @@ class Core:
     def deliver_irq(self, irq: "Irq") -> None:
         """Queue a hard IRQ; poke whoever occupies the core."""
         self.pending_irqs.append(irq)
-        self.kernel.counters.bump(f"{acct.CTR_IRQ}:{self.id}")
-        tracer = self.kernel.tracer
+        self._counters.bump(self.irq_counter)
+        tracer = self._tracer
         if tracer.enabled:
             tracer.instant(
                 "irq.deliver", "irq", self.id, self.env.now,
@@ -222,7 +233,7 @@ class Core:
             return
         is_user = thread.kind == KIND_USER
         ledger = self.kernel.ledger
-        mode_switch_ns = self.config.scheduler.mode_switch_ns
+        mode_switch_ns = self._mode_switch_ns
         if is_user:
             # Attribute the entry crossing if an SSR interrupt is what the
             # drain is about to service (late arrivals charge on exit).
@@ -232,14 +243,16 @@ class Core:
                     ledger.charge(
                         entry_ssr, CH_MODE_SWITCH, thread.name, self.id, mode_switch_ns
                     )
-            yield from self._charge(acct.SWITCH, thread, mode_switch_ns)
-        tracer = self.kernel.tracer
+            if mode_switch_ns > 0:
+                yield from self.burn(acct.SWITCH, thread, mode_switch_ns)
+        tracer = self._tracer
         last_ssr_name = None
         while self.pending_irqs:
             irq = self.pending_irqs.popleft()
             handler_ns = irq.handler_ns
             top_half_start = self.env.now
-            yield from self._charge(acct.IRQ, thread, handler_ns)
+            if handler_ns > 0:
+                yield from self.burn(acct.IRQ, thread, handler_ns)
             if tracer.enabled:
                 tracer.span(
                     f"irq:{irq.name}", "irq", self.id,
@@ -263,14 +276,20 @@ class Core:
                 ledger.charge(
                     last_ssr_name, CH_MODE_SWITCH, thread.name, self.id, mode_switch_ns
                 )
-            yield from self._charge(acct.SWITCH, thread, mode_switch_ns)
+            if mode_switch_ns > 0:
+                yield from self.burn(acct.SWITCH, thread, mode_switch_ns)
 
-    def _charge(self, mode: str, thread: Thread, ns: float) -> None:
-        """Generator: burn ``ns`` of core time in ``mode`` (uninterruptibly)."""
-        if ns <= 0:
-            return
+    def burn(self, mode: str, thread: Thread, ns: float) -> None:
+        """Generator: ``thread`` burns ``ns`` of core time as one ``mode``
+        segment, absorbing (but not losing) interrupts."""
         self.begin_segment(mode, thread, 0.0)
-        yield from thread._uninterruptible_delay(ns)
+        env = self.env
+        deadline = env.now + ns
+        while env.now < deadline - 0.5:
+            try:
+                yield Timeout(env, deadline - env.now)
+            except Interrupt:
+                continue
         self.end_segment()
 
     # ------------------------------------------------------------------
@@ -304,22 +323,19 @@ class Core:
         self._segment = (mode, self.env.now, thread, stall_ns)
 
     def end_segment(self) -> int:
-        if self._segment is None:
+        segment = self._segment
+        if segment is None:
             raise RuntimeError(f"core {self.id}: end_segment without begin")
-        mode, start, thread, _stall = self._segment
+        mode, start, thread, _stall = segment
         self._segment = None
         elapsed = self.env.now - start
-        self.kernel.accounting.add(self.id, mode, elapsed)
-        self._trace_segment(mode, start, thread, elapsed)
+        self._accounting.add(self.id, mode, elapsed)
+        if self._tracer.enabled and elapsed > 0:
+            self._trace_segment(mode, start, thread)
         return elapsed
 
-    def _trace_segment(
-        self, mode: str, start: int, thread: Optional[Thread], elapsed: float
-    ) -> None:
-        tracer = self.kernel.tracer
-        if not tracer.enabled or elapsed <= 0:
-            return
-        tracer.span(
+    def _trace_segment(self, mode: str, start: int, thread: Optional[Thread]) -> None:
+        self._tracer.span(
             mode, "segment", self.id, start, self.env.now,
             args={"thread": thread.name} if thread is not None else None,
         )
@@ -331,8 +347,9 @@ class Core:
         mode, start, thread, stall = self._segment
         self._segment = None
         elapsed = self.env.now - start
-        self.kernel.accounting.add(self.id, mode, elapsed)
-        self._trace_segment(mode, start, thread, elapsed)
+        self._accounting.add(self.id, mode, elapsed)
+        if self._tracer.enabled and elapsed > 0:
+            self._trace_segment(mode, start, thread)
         if thread is not None and mode in (acct.USER, acct.KERNEL):
             productive = max(0.0, elapsed - stall)
             thread.productive_ns += productive

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Generator, TYPE_CHECKING
 
 from ..profiling.ledger import CH_CC6_WAKEUP
-from ..sim import Interrupt
+from ..sim import Event, Interrupt, Timeout
 from . import accounting as acct
 from .cpu import AWAKE, SLEEPING, TRANSITIONING
 from .thread import KIND_IDLE, PRIO_IDLE, Thread
@@ -52,7 +52,7 @@ class IdleThread(Thread):
             core.begin_segment(acct.IDLE, self, 0.0)
             self.interruptible = True
             try:
-                yield self.env.timeout(cstate.entry_grace_ns)
+                yield Timeout(self.env, cstate.entry_grace_ns)
                 grace_elapsed = True
             except Interrupt:
                 grace_elapsed = False
@@ -64,9 +64,7 @@ class IdleThread(Thread):
 
             # Enter CC6.
             core.sleep_state = TRANSITIONING
-            core.begin_segment(acct.TRANSITION, self, 0.0)
-            yield from self._uninterruptible_delay(cstate.entry_latency_ns)
-            core.end_segment()
+            yield from core.burn(acct.TRANSITION, self, cstate.entry_latency_ns)
             if core.has_pending_irqs() or scheduler.has_work(core):
                 # A wakeup raced the entry transition: abort the sleep
                 # instead of parking with work queued (lost-wakeup hazard).
@@ -81,7 +79,7 @@ class IdleThread(Thread):
             core.begin_segment(acct.CC6, self, 0.0)
             self.interruptible = True
             try:
-                yield self.env.event()  # sleep until something interrupts us
+                yield Event(self.env)  # sleep until something interrupts us
             except Interrupt:
                 pass
             finally:
@@ -104,7 +102,5 @@ class IdleThread(Thread):
                         cstate.exit_latency_ns,
                     )
             core.sleep_state = TRANSITIONING
-            core.begin_segment(acct.TRANSITION, self, 0.0)
-            yield from self._uninterruptible_delay(cstate.exit_latency_ns)
-            core.end_segment()
+            yield from core.burn(acct.TRANSITION, self, cstate.exit_latency_ns)
             core.sleep_state = AWAKE

@@ -150,7 +150,7 @@ class InterruptController:
         """Cross-core reschedule kick (counted; the paper saw a 477x jump)."""
         kernel = self.kernel
         os_path = kernel.config.os_path
-        kernel.counters.bump(f"{acct.CTR_IPI}:{target_core_id}")
+        kernel.counters.bump(kernel.cores[target_core_id].ipi_counter)
         tracer = kernel.tracer
         if tracer.enabled:
             tracer.instant(
@@ -172,7 +172,7 @@ class InterruptController:
     def send_wake_ipi(self, target_core_id: int) -> None:
         """Wake a sleeping core on behalf of an anonymous context (timers)."""
         kernel = self.kernel
-        kernel.counters.bump(f"{acct.CTR_IPI}:{target_core_id}")
+        kernel.counters.bump(kernel.cores[target_core_id].ipi_counter)
         tracer = kernel.tracer
         if tracer.enabled:
             tracer.instant(
@@ -196,8 +196,6 @@ def _resched_action(core: "Core") -> None:
         return
     scheduler = core.kernel.scheduler
     if scheduler.has_work(core) and (
-        current.kind == "idle"
-        or any(core.runqueue[p] for p in range(current.priority))
-        or core.runqueue[current.priority]
+        current.kind == "idle" or core.has_waiter(current.priority)
     ):
         core.preempt("resched")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional
 
 from ..config import SystemConfig
-from ..sim import Environment, RngRegistry
+from ..sim import Environment, RngRegistry, Timeout
 from ..telemetry import NULL_TRACER
 from . import accounting as acct
 from .accounting import CounterSet, SsrAccounting, TimeAccounting
@@ -151,13 +151,12 @@ class Kernel:
     def _timer_tick_loop(self, core: Core) -> Generator:
         """Periodic scheduler tick; suppressed while the core sleeps (NOHZ)."""
         housekeeping = self.config.housekeeping
+        name = f"tick/{core.id}"
         while True:
-            yield self.env.timeout(housekeeping.timer_tick_ns)
+            yield Timeout(self.env, housekeeping.timer_tick_ns)
             if core.is_sleeping:
                 continue
-            core.deliver_irq(
-                Irq(name=f"tick/{core.id}", handler_ns=housekeeping.timer_tick_cost_ns)
-            )
+            core.deliver_irq(Irq(name=name, handler_ns=housekeeping.timer_tick_cost_ns))
 
     # ------------------------------------------------------------------
     # Introspection helpers

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
+from ..sim import Event
+from .cpu import Core
 from .thread import KIND_IDLE, KIND_KTHREAD, PRIO_KTHREAD, PRIO_NORMAL, Thread
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .cpu import Core
     from .kernel import Kernel
 
 
@@ -31,10 +32,6 @@ class Scheduler:
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
         self._kthread_rotation = 0
-
-    @property
-    def cores(self):
-        return self.kernel.cores
 
     # ------------------------------------------------------------------
     # Wakeup path
@@ -49,14 +46,14 @@ class Scheduler:
         """
         if thread.finished or thread.queued or thread.core is not None:
             return
-        thread._grant = self.kernel.env.event()
+        thread._grant = Event(self.kernel.env)
         thread.queued = True
         core = self._place(thread)
         core.runqueue[thread.priority].append(thread)
         self._kick(core, thread, origin_core_id)
 
     def _place(self, thread: Thread) -> "Core":
-        cores = self.cores
+        cores = self.kernel.cores
         if thread.pinned_core is not None:
             return cores[thread.pinned_core]
         if thread.kind == KIND_KTHREAD:
@@ -67,12 +64,21 @@ class Scheduler:
         last = thread.last_core_id
         if last is not None and self._core_is_quiet(cores[last]):
             return cores[last]
-        # Shallow-idle preference: land on an awake core when one exists
+        # Shallow-idle preference: land on the least-loaded awake core
         # (waking a CC6 core costs latency and power), like Linux's
-        # select_idle_sibling biasing away from deep idle states.
-        awake = [c for c in cores if not c.is_sleeping]
-        candidates = awake if awake else cores
-        return min(candidates, key=lambda c: (c.load(), c.id))
+        # select_idle_sibling biasing away from deep idle states.  Cores
+        # are in id order, so a strict ``<`` breaks load ties by lowest id.
+        best = None
+        best_load = 0
+        for core in cores:
+            if core.is_sleeping:
+                continue
+            load = core.load()
+            if best is None or load < best_load:
+                best, best_load = core, load
+        if best is None:  # every core sleeps
+            best = min(cores, key=Core.load)
+        return best
 
     @staticmethod
     def _core_is_quiet(core: "Core") -> bool:
@@ -82,31 +88,28 @@ class Scheduler:
         return core.current is None or core.current.kind == KIND_IDLE
 
     def _kick(self, core: "Core", thread: Thread, origin_core_id: Optional[int]) -> None:
-        needs_disturb = core.is_sleeping or self._needs_preempt(core, thread)
+        sleeping = core.is_sleeping
+        current = core.current
+        preempts = current is not None and thread.priority < current.priority
         if (
-            needs_disturb
+            (sleeping or preempts)
             and origin_core_id is not None
             and origin_core_id != core.id
         ):
             self.kernel.irq_controller.send_resched_ipi(core.id, origin_core_id)
             return
-        if core.is_sleeping:
+        if sleeping:
             # Waking a CC6 core always costs an interrupt, even when the
             # waker's core is unknown (timer-driven wakeups) — this is the
             # baseline IPI traffic the SSR-driven 477x increase sits on.
             self.kernel.irq_controller.send_wake_ipi(core.id)
             return
-        if core.current is None:
+        if current is None:
             core.dispatch()
-        elif self._needs_preempt(core, thread):
+        elif preempts:
             core.preempt("resched")
-        elif core.current.priority == thread.priority:
+        elif current.priority == thread.priority:
             core.request_preempt_check()
-
-    @staticmethod
-    def _needs_preempt(core: "Core", thread: Thread) -> bool:
-        current = core.current
-        return current is not None and thread.priority < current.priority
 
     # ------------------------------------------------------------------
     # Queries used by cores and idle threads

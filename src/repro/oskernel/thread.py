@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Generator, Optional, TYPE_CHECKING
 
 from ..profiling.ledger import CH_POLLUTION
-from ..sim import Event, Interrupt
+from ..sim import Event, Interrupt, Timeout
 from . import accounting as acct
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -69,6 +69,7 @@ class Thread:
         self.priority = priority
         self.pinned_core = pinned_core
         self.mode = _KIND_MODE[kind]
+        self._cpu = kernel.config.cpu
 
         self.process = None
         self.started = False
@@ -140,7 +141,12 @@ class Thread:
 
     def _take_stall_ns(self) -> float:
         """Convert pending disturbance into stall ns; update Fig. 5 counters."""
-        cpu = self.kernel.config.cpu
+        if not self._pending_lines and not self._pending_entries:
+            # Nothing disturbed us since the last segment: no new stall.
+            stall = self._stall_carry_ns
+            self._stall_carry_ns = 0.0
+            return stall
+        cpu = self._cpu
         reuse = (
             self.reuse_probability
             if self.reuse_probability is not None
@@ -182,6 +188,7 @@ class Thread:
         called with each chunk of productive nanoseconds as it completes,
         so fixed-horizon experiments see partially-completed work.
         """
+        env = self.env
         remaining = float(duration_ns)
         # Sub-nanosecond residue (stall times are fractional cycles) must
         # terminate the loop: scheduling a ~0ns timeout would spin forever.
@@ -190,7 +197,7 @@ class Thread:
                 yield from self._acquire_cpu()
             core = self.core
             # Service IRQs that arrived while we were off-CPU or in-switch.
-            if core.has_pending_irqs():
+            if core.pending_irqs:
                 yield from core.service_pending_irqs(self)
             if core.should_yield(self):
                 self._release_cpu(requeue=True)
@@ -198,16 +205,16 @@ class Thread:
             stall = self._take_stall_ns()
             segment = max(remaining + stall, 1.0)
             core.begin_segment(self.mode, self, stall)
-            start = self.env.now
+            start = env.now
             self.interruptible = True
             try:
-                yield self.env.timeout(segment)
+                yield Timeout(env, segment)
                 interrupted_by = None
             except Interrupt as intr:
                 interrupted_by = intr.cause
             finally:
                 self.interruptible = False
-            elapsed = self.env.now - start
+            elapsed = env.now - start
             core.end_segment()
             productive = max(0.0, elapsed - stall)
             self._stall_carry_ns = max(0.0, stall - elapsed)
@@ -249,7 +256,7 @@ class Thread:
 
     def sleep(self, ns: float) -> Generator:
         """Block off-CPU for ``ns`` simulated nanoseconds."""
-        yield from self.wait(self.env.timeout(ns))
+        yield from self.wait(Timeout(self.env, ns))
 
     # ------------------------------------------------------------------
     # Internals
@@ -268,18 +275,7 @@ class Thread:
         core = self.core
         switch_ns = core.take_context_switch_cost(self)
         if switch_ns:
-            core.begin_segment(acct.SWITCH, self, 0.0)
-            yield from self._uninterruptible_delay(switch_ns)
-            core.end_segment()
-
-    def _uninterruptible_delay(self, ns: float) -> Generator:
-        """Burn ``ns`` of core time, absorbing (but not losing) interrupts."""
-        deadline = self.env.now + ns
-        while self.env.now < deadline - 0.5:
-            try:
-                yield self.env.timeout(deadline - self.env.now)
-            except Interrupt:
-                continue
+            yield from core.burn(acct.SWITCH, self, switch_ns)
 
     def _release_cpu(self, requeue: bool) -> None:
         core = self.core

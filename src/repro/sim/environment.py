@@ -23,16 +23,13 @@ class Environment:
     """
 
     def __init__(self, initial_time: int = 0):
-        self._now = initial_time
+        #: Current simulated time.  A plain attribute, not a property: it is
+        #: read several times per event, and only the run loop writes it.
+        self.now = initial_time
         self._queue: List[Tuple[Any, int, int, Event]] = []
         self._eid = 0
         #: Telemetry sink (never affects scheduling; NULL_TRACER is a no-op).
         self.tracer = NULL_TRACER
-
-    @property
-    def now(self):
-        """Current simulated time."""
-        return self._now
 
     # ------------------------------------------------------------------
     # Event creation helpers
@@ -61,13 +58,13 @@ class Environment:
 
     def call_at(self, when, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` at absolute time ``when`` (must not be in the past)."""
-        if when < self._now:
-            raise ValueError(f"call_at({when}) is in the past (now={self._now})")
-        return self.call_later(when - self._now, fn)
+        if when < self.now:
+            raise ValueError(f"call_at({when}) is in the past (now={self.now})")
+        return self.call_later(when - self.now, fn)
 
     def call_later(self, delay, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` after ``delay`` time units."""
-        timeout = self.timeout(delay)
+        timeout = Timeout(self, delay)
         timeout.callbacks.append(lambda _event: fn())
         return timeout
 
@@ -77,7 +74,7 @@ class Environment:
     def schedule(self, event: Event, delay=0, priority: int = NORMAL) -> None:
         """Schedule a triggered ``event`` for processing ``delay`` from now."""
         self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        heapq.heappush(self._queue, (self.now + delay, priority, self._eid, event))
 
     def peek(self):
         """Return the time of the next scheduled event (or ``None``)."""
@@ -89,7 +86,7 @@ class Environment:
             when, _priority, _eid, event = heapq.heappop(self._queue)
         except IndexError:
             raise EmptySchedule() from None
-        self._now = when
+        self.now = when
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -106,15 +103,15 @@ class Environment:
         here with the heap, pop, and bound checks held in locals — the
         behaviour is identical, event for event.
         """
-        if until is not None and until < self._now:
-            raise ValueError(f"until={until} is in the past (now={self._now})")
-        start = self._now
+        if until is not None and until < self.now:
+            raise ValueError(f"until={until} is in the past (now={self.now})")
+        start = self.now
         queue = self._queue
         pop = heapq.heappop
         if until is None:
             while queue:
                 when, _priority, _eid, event = pop(queue)
-                self._now = when
+                self.now = when
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
                     callback(event)
@@ -123,17 +120,17 @@ class Environment:
         else:
             while queue and queue[0][0] <= until:
                 when, _priority, _eid, event = pop(queue)
-                self._now = when
+                self.now = when
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
                     callback(event)
                 if event._ok is False and not event._defused:
                     raise event._value
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
         if self.tracer.enabled:
             self.tracer.span(
-                "sim.run", "sim", "sim", start, self._now,
+                "sim.run", "sim", "sim", start, self.now,
                 args={"events_pending": len(self._queue)},
             )
 
@@ -155,7 +152,7 @@ class Environment:
             if limit is not None and queue[0][0] > limit:
                 raise TimeoutError(f"event did not fire by t={limit}")
             when, _priority, _eid, ready = pop(queue)
-            self._now = when
+            self.now = when
             callbacks, ready.callbacks = ready.callbacks, None
             for callback in callbacks:
                 callback(ready)

@@ -89,7 +89,7 @@ class Event:
         self._value = value
         env = self.env
         env._eid = eid = env._eid + 1
-        heappush(env._queue, (env._now, priority, eid, self))
+        heappush(env._queue, (env.now, priority, eid, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -102,7 +102,7 @@ class Event:
         self._value = exception
         env = self.env
         env._eid = eid = env._eid + 1
-        heappush(env._queue, (env._now, priority, eid, self))
+        heappush(env._queue, (env.now, priority, eid, self))
         return self
 
     def defuse(self) -> None:
@@ -133,7 +133,7 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         env._eid = eid = env._eid + 1
-        heappush(env._queue, (env._now + delay, NORMAL, eid, self))
+        heappush(env._queue, (env.now + delay, NORMAL, eid, self))
 
 
 class AnyOf(Event):

@@ -20,7 +20,7 @@ from .events import NORMAL, PENDING, URGENT, Event, Interrupt
 class Process(Event):
     """A running simulation process (also an event: fires at termination)."""
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "name", "_resume_cb")
 
     def __init__(self, env, generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -30,10 +30,13 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         #: The event this process is currently suspended on.
         self._target: Optional[Event] = None
+        #: ``self._resume`` bound once: every suspension appends it to the
+        #: target's callbacks, and an interrupt removes it again.
+        self._resume_cb = self._resume
         bootstrap = Event(env)
         bootstrap._ok = True
         bootstrap._value = None
-        bootstrap.callbacks.append(self._resume)
+        bootstrap.callbacks.append(self._resume_cb)
         env.schedule(bootstrap, delay=0, priority=URGENT)
 
     @property
@@ -52,11 +55,14 @@ class Process(Event):
         Interrupting a dead process is a silent no-op, which lets callers
         fire-and-forget preemption notices without racing on liveness.
         """
-        if not self.is_alive:
+        if self._value is not PENDING:
             return
+        # The interruptor fails with the Interrupt the process will see;
+        # it is defused because delivery throws it, the loop must not.
         interruptor = Event(self.env)
-        interruptor._ok = True
-        interruptor._value = cause
+        interruptor._ok = False
+        interruptor._value = Interrupt(cause)
+        interruptor._defused = True
         interruptor.callbacks.append(self._deliver_interrupt)
         self.env.schedule(interruptor, delay=0, priority=URGENT)
 
@@ -64,27 +70,25 @@ class Process(Event):
     # Internal machinery
     # ------------------------------------------------------------------
     def _deliver_interrupt(self, interruptor: Event) -> None:
-        if not self.is_alive:
+        if self._value is not PENDING:
             return
         target = self._target
         if target is not None and target.callbacks is not None:
             try:
-                target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume_cb)
             except ValueError:
                 pass
-        self._target = None
-        self._advance(throw=Interrupt(interruptor._value))
+        self._resume(interruptor)
 
     def _resume(self, event: Event) -> None:
+        """Feed ``event``'s outcome to the generator, then drive it until
+        it suspends on a pending event or ends."""
         self._target = None
         if event._ok:
-            self._advance(send=event._value)
+            send, throw = event._value, None
         else:
-            event.defuse()
-            self._advance(throw=event._value)
-
-    def _advance(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
-        """Drive the generator until it suspends on a pending event or ends."""
+            event._defused = True
+            send, throw = None, event._value
         generator = self._generator
         while True:
             try:
@@ -124,12 +128,12 @@ class Process(Event):
                 continue
             if target.callbacks is not None:
                 # Pending, or triggered but not yet processed: suspend.
-                target.callbacks.append(self._resume)
+                target.callbacks.append(self._resume_cb)
                 self._target = target
                 return
             # Already processed: consume its outcome immediately.
             if target._ok:
                 send, throw = target._value, None
             else:
-                target.defuse()
+                target._defused = True
                 send, throw = None, target._value

@@ -67,10 +67,16 @@ class Store:
         return event
 
     def try_put(self, item: Any) -> bool:
-        """Non-blocking put: returns False instead of waiting when full."""
+        """Non-blocking put: returns False instead of waiting when full.
+
+        An accepted item goes straight into the store, with no put event:
+        nothing could wait on one.  A getter blocked on the empty store is
+        woken with the item at once.
+        """
         if self.is_full or self._putters:
             return False
-        self.put(item)
+        self.items.append(item)
+        self._dispatch()
         return True
 
     def try_get(self) -> Tuple[bool, Any]:

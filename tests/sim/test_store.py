@@ -103,6 +103,36 @@ class TestBoundedStoreBackpressure:
         assert store.try_put("a")
         assert not store.try_put("b")
 
+    def test_try_put_accepted_at_once_schedules_nothing(self, env):
+        store = Store(env)
+        assert store.try_put("a")
+        assert list(store.items) == ["a"]
+        assert env.peek() is None
+
+    def test_try_put_wakes_a_blocked_getter_with_one_event(self, env):
+        store = Store(env)
+        got = []
+
+        def consumer():
+            got.append((yield store.get()))
+            got.append(env.now)
+
+        env.process(consumer())
+        env.run(until=10)
+        assert store.pending_gets == 1 and env.peek() is None
+        assert store.try_put("item")
+        assert len(env._queue) == 1 and env.peek() == 10
+        env.run()
+        assert got == ["item", 10]
+        assert len(store) == 0
+
+    def test_try_put_on_full_store_schedules_nothing(self, env):
+        store = Store(env, capacity=1)
+        assert store.try_put("a")
+        assert not store.try_put("b")
+        assert list(store.items) == ["a"]
+        assert env.peek() is None
+
     def test_try_get(self, env):
         store = Store(env)
         ok, item = store.try_get()
