@@ -41,7 +41,7 @@ from . import experiment as _experiment
 from .pool import TaskResult, order_longest_first, run_label, run_task, shared_pool
 from .runcache import RunKey, cost_model
 
-#: Ring capacity of each worker's private tracer (events per run).
+#: Events a ``--trace`` run keeps (its first ones; the rest are counted).
 WORKER_TRACE_CAPACITY = 200_000
 
 
@@ -137,20 +137,11 @@ def _merge_worker_trace(tracer, label: str, events) -> None:
     """Re-emit a worker's events under per-run track names."""
     from ..telemetry.tracer import TraceEvent
 
-    for event in events:
-        track = event.track
+    for phase, name, category, track, ts_ns, dur_ns, args in events:
         track_name = f"core {track}" if isinstance(track, int) else str(track)
-        tracer.emit(
-            TraceEvent(
-                phase=event.phase,
-                name=event.name,
-                category=event.category,
-                track=f"{label} | {track_name}",
-                ts_ns=event.ts_ns,
-                dur_ns=event.dur_ns,
-                args=event.args,
-            )
-        )
+        tracer.emit(TraceEvent(
+            phase, name, category, f"{label} | {track_name}", ts_ns, dur_ns, args
+        ))
 
 
 def _run_in_process(tasks: Sequence[Tuple]):
@@ -170,7 +161,6 @@ def execute_runs(
     jobs: int,
     report: Optional[PrewarmReport] = None,
     trace_capacity: int = 0,
-    events_per_run: Optional[int] = None,
     profile_keys: Optional[set] = None,
     on_run: Optional[Callable[[RunKey, Dict[str, Any]], None]] = None,
 ) -> PrewarmReport:
@@ -187,8 +177,8 @@ def execute_runs(
 
     ``on_run(key, info)`` receives each executed run's side data as it
     completes (see :func:`~repro.core.pool.run_task`).  A non-zero
-    ``trace_capacity`` traces each run into a private ring of that size,
-    and ``events_per_run`` cuts the events it ships back.  Keys in
+    ``trace_capacity`` traces each run and ships back its first
+    ``trace_capacity`` events.  Keys in
     ``profile_keys`` are simulated *even when cached* — a profile only
     exists for an executed run.
     """
@@ -210,9 +200,7 @@ def execute_runs(
     model = cost_model()
     pending = order_longest_first(pending)
     report.predicted_core_s = sum(model.predict(key) for key in pending)
-    tasks = [
-        (key, trace_capacity, key in profile_keys, events_per_run) for key in pending
-    ]
+    tasks = [(key, trace_capacity, key in profile_keys) for key in pending]
     pool = None
     if report.workers == 1 or len(tasks) <= 1:
         results = _run_in_process(tasks)

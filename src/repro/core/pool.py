@@ -140,28 +140,23 @@ def order_longest_first(keys: Sequence[RunKey]) -> List[RunKey]:
 # ----------------------------------------------------------------------
 # The task a worker runs
 # ----------------------------------------------------------------------
-def run_task(
-    key: RunKey,
-    trace_capacity: int,
-    profile: bool = False,
-    events_limit: Optional[int] = None,
-):
+def run_task(key: RunKey, trace_capacity: int, profile: bool = False):
     """Simulate one run; returns ``(metrics, info)``.
 
     ``info`` is the run's side data, trimmed for the trip through the
     pipe: its label (``run``), ``wall_start_s``/``wall_end_s`` and
     ``worker_pid``; ``events`` — ``None`` unless tracing
-    (``trace_capacity`` > 0) captured something, cut to ``events_limit``
-    before pickling; ``events_dropped`` (the cut plus the run tracer's
-    ring drops); the tracer's ``counters`` and ``histograms``; and
+    (``trace_capacity`` > 0) captured something, else the run's first
+    ``trace_capacity`` events; ``events_dropped``, how many events the run
+    had past those; the tracer's ``counters`` and ``histograms``; and
     ``profile``, the attribution document with ``profile=True`` (else
     ``None``).  Neither tracing nor profiling changes the metrics.
     """
     tracer = None
     if trace_capacity:
-        from ..telemetry import Tracer
+        from ..telemetry import RunTracer
 
-        tracer = Tracer(capacity=trace_capacity)
+        tracer = RunTracer(trace_capacity)
     profiler = None
     if profile:
         from ..profiling import Profiler
@@ -174,9 +169,6 @@ def run_task(
     if tracer is not None:
         events = list(tracer.events())
         dropped = tracer.dropped
-        if events_limit is not None and len(events) > events_limit:
-            dropped += len(events) - events_limit
-            del events[events_limit:]
         counters = {name: c.value for name, c in tracer.metrics.counters.items()}
         histograms = tracer.metrics.histograms
     return metrics, {
@@ -321,7 +313,7 @@ class TaskResult:
 class WorkerPool:
     """Persistent pool of warm simulation workers (one per daemon/CLI life).
 
-    Tasks are ``(key, trace_capacity, profile, events_limit)`` tuples
+    Tasks are ``(key, trace_capacity, profile)`` tuples
     handed to ``runner`` (default :func:`run_task`) inside the worker.
     ``run_batch`` dispatches a batch and collects every result,
     isolating per-task failures; the pool survives worker crashes and

@@ -112,7 +112,19 @@ def run_key_document(key: RunKey, fingerprint: Optional[str] = None) -> dict:
 
 
 def run_key_digest(key: RunKey, fingerprint: Optional[str] = None) -> str:
-    """Stable SHA-256 content address of one run request + code state."""
+    """Stable SHA-256 content address of one run request + code state.
+
+    Memoized per ``(key, fingerprint)`` once the fingerprint is resolved,
+    so a batch that looks one key up several times renders it once, and a
+    :func:`reset_code_fingerprint` that yields a new fingerprint misses.
+    """
+    return _digest(
+        key, fingerprint if fingerprint is not None else code_fingerprint()
+    )
+
+
+@lru_cache(maxsize=4096)
+def _digest(key: RunKey, fingerprint: str) -> str:
     document = run_key_document(key, fingerprint)
     rendered = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()

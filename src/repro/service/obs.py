@@ -331,21 +331,24 @@ def build_stitched_trace(job: Job) -> Dict[str, Any]:
     return stitched_chrome_trace(build_trace_document(job), label=f"hiss {job.id}")
 
 
-def sim_event_dict(event) -> Dict[str, Any]:
-    """Serialize one in-sim :class:`~repro.telemetry.TraceEvent` for a job
-    trace document (plain JSON, ns timestamps preserved)."""
-    doc: Dict[str, Any] = {
-        "ph": event.phase,
-        "name": event.name,
-        "cat": event.category,
-        "track": event.track,
-        "ts_ns": event.ts_ns,
-    }
-    if event.dur_ns:
-        doc["dur_ns"] = event.dur_ns
-    if event.args:
-        doc["args"] = dict(event.args)
-    return doc
+def sim_event_dicts(events) -> List[Dict[str, Any]]:
+    """Serialize a run's in-sim :class:`~repro.telemetry.TraceEvent` list
+    for a job trace document (plain JSON, ns timestamps preserved).
+
+    An event's ``args`` dict is shared, not copied: nothing mutates it
+    once the event is built."""
+    served = []
+    for phase, name, category, track, ts_ns, dur_ns, args in events:
+        doc = {
+            "ph": phase, "name": name, "cat": category, "track": track,
+            "ts_ns": ts_ns,
+        }
+        if dur_ns:
+            doc["dur_ns"] = dur_ns
+        if args:
+            doc["args"] = args
+        served.append(doc)
+    return served
 
 
 # ----------------------------------------------------------------------

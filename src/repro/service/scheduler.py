@@ -38,7 +38,6 @@ from typing import Callable, List, Optional, Tuple
 
 from ..core import experiment as _experiment
 from ..core.planner import (
-    WORKER_TRACE_CAPACITY,
     execute_runs,
     plan_runs,
     resolve_jobs,
@@ -48,16 +47,15 @@ from ..core.runcache import RunKey, cost_model, run_key_digest
 from ..telemetry import MetricsRegistry
 from .admission import AdmissionController, ServiceGovernor
 from .jobs import CANCELLED, DONE, FAILED, RUNNING, Job, JobStore
-from .obs import OpsLog, sim_event_dict
+from .obs import OpsLog, sim_event_dicts
 
 __all__ = ["JobScheduler", "dedupe_key_for", "plan_spec"]
 
 #: Serializes use of the non-reentrant planning/replay machinery.
 _PLAN_LOCK = threading.Lock()
 
-#: Events of a run stored into a job.  The cut keeps a run's *first*
-#: events, after its tracer's ring (``WORKER_TRACE_CAPACITY``) has kept the
-#: newest; everything either one discards is counted as dropped.
+#: Events of a run stored into a job: its tracer keeps the run's *first*
+#: ones and counts the rest as dropped, without building them.
 TRACE_EVENTS_PER_RUN = 4000
 
 
@@ -121,7 +119,7 @@ class JobScheduler:
         #: attach it to the jobs that planned the run.  Span/timestamp
         #: bookkeeping happens regardless; this only gates event capture.
         self.trace = trace
-        #: In-sim events dropped by run rings or the per-run cap (reported,
+        #: In-sim events past a run's ``TRACE_EVENTS_PER_RUN`` (reported,
         #: never silent — see ``service.trace.dropped_events``).
         self.trace_dropped = 0
         self.ops_log = ops_log if ops_log is not None else OpsLog(None)
@@ -354,19 +352,17 @@ class JobScheduler:
         """Fan the batch's runs out and attach each one to its jobs.
 
         A run comes back with its wall-clock window, worker pid and (with
-        tracing on) its cut event stream; the trace ids of the jobs that
-        planned it come from ``needed_by``.  Keys in ``profile_keys`` come
-        back with an attribution document, which lands on the
-        ``profiles`` of every interested job that asked.
+        tracing on) its first ``TRACE_EVENTS_PER_RUN`` events; the trace
+        ids of the jobs that planned it come from ``needed_by``.  Keys in
+        ``profile_keys`` come back with an attribution document, which
+        lands on the ``profiles`` of every interested job that asked.
         """
 
         def on_run(key: RunKey, info: dict) -> None:
             jobs = needed_by.get(key, [])
             profile_doc = info["profile"]
             events = info["events"]
-            serialized = None
-            if events is not None:
-                serialized = [sim_event_dict(event) for event in events]
+            serialized = sim_event_dicts(events) if events is not None else None
             dropped = info["events_dropped"]
             if dropped:
                 self.trace_dropped += dropped
@@ -395,8 +391,7 @@ class JobScheduler:
         return execute_runs(
             pending,
             jobs=self.jobs,
-            trace_capacity=WORKER_TRACE_CAPACITY if self.trace else 0,
-            events_per_run=TRACE_EVENTS_PER_RUN if self.trace else None,
+            trace_capacity=TRACE_EVENTS_PER_RUN if self.trace else 0,
             profile_keys=profile_keys,
             on_run=on_run,
         )

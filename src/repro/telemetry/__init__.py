@@ -4,7 +4,7 @@ Its pieces (see ``docs/observability.md``):
 
 * :mod:`repro.telemetry.tracer` — a zero-cost-when-disabled event tracer
   recording spans/instants keyed by core (or device track) and sim-time
-  into a bounded ring buffer.
+  into a bounded ring buffer, or, per run, into its first N events.
 * :mod:`repro.telemetry.metrics` — counters and fixed-bucket latency
   histograms (p50/p95/p99/max) for end-of-run aggregates.
 * :mod:`repro.telemetry.export` — Chrome ``trace_event`` JSON (open in
@@ -25,6 +25,7 @@ from .metrics import Counter, Histogram, MetricsRegistry
 from .tracer import (
     NULL_TRACER,
     NullTracer,
+    RunTracer,
     TraceEvent,
     Tracer,
     get_active_tracer,
@@ -57,6 +58,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
+    "RunTracer",
     "Span",
     "SpanRecorder",
     "TraceEvent",

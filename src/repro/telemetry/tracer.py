@@ -3,9 +3,10 @@
 A :class:`Tracer` records typed events — spans (an interval on a track),
 instants (a point), and counter samples (a value over time) — keyed by a
 *track* (a core id, or a named device track like ``"iommu"``) and
-simulated nanoseconds.  Storage is a bounded ring buffer: a runaway run
-drops its *oldest* events rather than growing without bound, and reports
-how many were dropped.
+simulated nanoseconds.  Storage is bounded, and every event that does
+not fit is counted as dropped: a :class:`Tracer` is a ring that drops its
+*oldest* events, and a :class:`RunTracer` keeps a run's *first* events and
+never builds the ones past its capacity.
 
 The zero-overhead contract: instrumentation sites hold a tracer reference
 and guard every emission with ``if tracer.enabled:``.  The default
@@ -18,14 +19,14 @@ is bit-for-bit identical to an untraced one.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Union
 
 from .metrics import MetricsRegistry
 
 __all__ = [
     "NULL_TRACER",
     "NullTracer",
+    "RunTracer",
     "TraceEvent",
     "Tracer",
     "get_active_tracer",
@@ -41,9 +42,8 @@ PHASE_COUNTER = "C"
 Track = Union[int, str]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded event, in simulated nanoseconds."""
+class TraceEvent(NamedTuple):
+    """One recorded event, in simulated nanoseconds (immutable)."""
 
     phase: str
     name: str
@@ -51,7 +51,7 @@ class TraceEvent:
     track: Track
     ts_ns: float
     dur_ns: float = 0.0
-    args: Optional[Dict] = field(default=None)
+    args: Optional[Dict] = None
 
 
 class Tracer:
@@ -64,17 +64,19 @@ class Tracer:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._events: deque = deque(maxlen=capacity)
-        #: Events evicted from the ring buffer (oldest-first) due to capacity.
+        #: Events not kept for lack of room (see :attr:`dropped_events`).
         self.dropped = 0
         self.metrics = MetricsRegistry()
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def _append(self, event: TraceEvent) -> None:
+    def _admit(self) -> bool:
+        """Whether to store the next event, counting one drop if not all
+        fit: the ring stores every event and evicts its oldest."""
         if len(self._events) == self.capacity:
             self.dropped += 1
-        self._events.append(event)
+        return True
 
     def span(
         self,
@@ -88,9 +90,10 @@ class Tracer:
         """Record an interval ``[start_ns, end_ns]`` on ``track``."""
         if end_ns < start_ns:
             raise ValueError(f"span {name!r}: end {end_ns} before start {start_ns}")
-        self._append(
-            TraceEvent(PHASE_SPAN, name, category, track, start_ns, end_ns - start_ns, args)
-        )
+        if self._admit():
+            self._events.append(TraceEvent(
+                PHASE_SPAN, name, category, track, start_ns, end_ns - start_ns, args
+            ))
 
     def instant(
         self,
@@ -101,28 +104,34 @@ class Tracer:
         args: Optional[Dict] = None,
     ) -> None:
         """Record a point event at ``ts_ns`` on ``track``."""
-        self._append(TraceEvent(PHASE_INSTANT, name, category, track, ts_ns, 0.0, args))
+        if self._admit():
+            self._events.append(TraceEvent(
+                PHASE_INSTANT, name, category, track, ts_ns, 0.0, args
+            ))
 
     def counter_sample(
         self, name: str, track: Track, ts_ns: float, value: float
     ) -> None:
         """Record a sampled counter value (renders as a graph in Perfetto)."""
-        self._append(
-            TraceEvent(PHASE_COUNTER, name, "counter", track, ts_ns, 0.0, {"value": value})
-        )
+        if self._admit():
+            self._events.append(TraceEvent(
+                PHASE_COUNTER, name, "counter", track, ts_ns, 0.0, {"value": value}
+            ))
 
     def emit(self, event: TraceEvent) -> None:
         """Append an already-built event (merging another tracer's stream)."""
-        self._append(event)
+        if self._admit():
+            self._events.append(event)
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
     @property
     def dropped_events(self) -> int:
-        """Ring-buffer overflow count: events evicted because the buffer
-        was at :attr:`capacity` when a new event arrived.  The queryable
-        companion of the raw :attr:`dropped` counter — surfaced as the
+        """Events not kept because the tracer was at :attr:`capacity` when
+        they arrived: evicted from a ring, or never built by a
+        :class:`RunTracer`.  The queryable companion of the raw
+        :attr:`dropped` counter — surfaced as the
         ``telemetry.trace.dropped_events`` gauge in the service's
         ``/metrics``."""
         return self.dropped
@@ -143,6 +152,25 @@ class Tracer:
     def clear(self) -> None:
         self._events.clear()
         self.dropped = 0
+
+
+class RunTracer(Tracer):
+    """One run's tracer: keeps the run's *first* ``capacity`` events.
+
+    Once it is full, each further ``span``/``instant``/``counter_sample``
+    only adds one to :attr:`dropped`; no event is built just to be thrown
+    away.  Its :attr:`metrics` record every sample regardless.
+    """
+
+    def __init__(self, capacity: int):
+        super().__init__(capacity)
+        self._events: list = []
+
+    def _admit(self) -> bool:
+        if len(self._events) < self.capacity:
+            return True
+        self.dropped += 1
+        return False
 
 
 class NullTracer:

@@ -182,6 +182,24 @@ class TestDiskCache:
         # Same sources on disk: same digest, freshly recomputed.
         assert fp() == before
 
+    def test_changed_fingerprint_changes_the_memoized_digest(self, monkeypatch):
+        """The digest memo keys on the resolved fingerprint: after a reset
+        that yields new code state, a key seen before gets a new digest."""
+        import repro
+        from repro.core import reset_code_fingerprint
+
+        key = small_key()
+        before = run_key_digest(key)
+        assert run_key_digest(key) == before  # served from the memo
+        monkeypatch.setattr(repro, "__version__", repro.__version__ + "+edit")
+        reset_code_fingerprint()
+        try:
+            assert run_key_digest(key) != before
+        finally:
+            monkeypatch.undo()
+            reset_code_fingerprint()
+        assert run_key_digest(key) == before
+
     def test_counters_are_thread_safe(self, tmp_path):
         import threading
 

@@ -1,10 +1,14 @@
-"""Unit tests for the event tracer and the active-tracer plumbing."""
+"""Unit tests for the event tracers and the active-tracer plumbing."""
+
+import pickle
 
 import pytest
 
 from repro.telemetry import (
     NULL_TRACER,
     NullTracer,
+    RunTracer,
+    TraceEvent,
     Tracer,
     get_active_tracer,
     set_active_tracer,
@@ -31,6 +35,10 @@ class TestTracer:
     def test_span_rejects_negative_duration(self):
         with pytest.raises(ValueError):
             Tracer().span("x", "c", 0, 100, 50)
+        full = RunTracer(capacity=1)
+        full.instant("kept", "c", 0, 0)
+        with pytest.raises(ValueError):  # even once a run tracer is full
+            full.span("x", "c", 0, 100, 50)
 
     def test_ring_buffer_drops_oldest(self):
         tracer = Tracer(capacity=3)
@@ -69,6 +77,66 @@ class TestTracer:
         tracer.instant("b", "t", 0, 1)
         tracer.clear()
         assert len(tracer) == 0 and tracer.dropped == 0
+
+
+class TestTraceEvent:
+    def test_immutable_equal_fieldwise_and_picklable(self):
+        event = TraceEvent("X", "user", "segment", 0, 100, 150, {"thread": "t"})
+        with pytest.raises(AttributeError):
+            event.name = "other"
+        assert event == TraceEvent(
+            phase="X", name="user", category="segment", track=0, ts_ns=100,
+            dur_ns=150, args={"thread": "t"},
+        )
+        assert event != TraceEvent("X", "user", "segment", 1, 100, 150, {"thread": "t"})
+        assert pickle.loads(pickle.dumps(event)) == event
+        instant = TraceEvent("i", "irq", "irq", "iommu", 5)
+        assert instant.dur_ns == 0.0 and instant.args is None
+
+
+class TestRunTracer:
+    def test_keeps_first_events_and_builds_nothing_past_capacity(self, monkeypatch):
+        import repro.telemetry.tracer as tracer_module
+
+        built = []
+
+        def counting_event(*fields):
+            built.append(fields)
+            return TraceEvent(*fields)
+
+        monkeypatch.setattr(tracer_module, "TraceEvent", counting_event)
+        tracer = RunTracer(capacity=3)
+        for index in range(5):
+            tracer.instant(f"e{index}", "t", 0, index)
+        tracer.span("s", "t", 0, 10, 20)
+        tracer.counter_sample("c", "qos", 30, 1.0)
+        tracer.metrics.counter("kept.anyway").inc()
+        assert [e.name for e in tracer.events()] == ["e0", "e1", "e2"]
+        assert len(tracer) == 3
+        assert tracer.dropped == tracer.dropped_events == 4
+        assert len(built) == 3
+        assert tracer.metrics.counters["kept.anyway"].value == 1
+
+    def test_merge_worker_trace_renames_tracks_per_run(self):
+        from repro.core.planner import _merge_worker_trace
+
+        worker = RunTracer(capacity=10)
+        worker.span("user", "segment", 0, 100, 250, args={"thread": "t"})
+        worker.instant("ppr", "iommu", "iommu", 300)
+        worker.counter_sample("qos.fraction", "qos", 400, 0.5)
+        merged = Tracer()
+        _merge_worker_trace(merged, "x264xbfs@5ms", list(worker.events()))
+        assert list(merged.events()) == [
+            TraceEvent(
+                "X", "user", "segment", "x264xbfs@5ms | core 0", 100, 150,
+                {"thread": "t"},
+            ),
+            TraceEvent("i", "ppr", "iommu", "x264xbfs@5ms | iommu", 300, 0.0, None),
+            TraceEvent(
+                "C", "qos.fraction", "counter", "x264xbfs@5ms | qos", 400, 0.0,
+                {"value": 0.5},
+            ),
+        ]
 
 
 class TestNullTracer:
