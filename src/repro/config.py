@@ -43,9 +43,6 @@ class CpuConfig:
     def cycles_to_ns(self, cycles: float) -> float:
         return cycles / self.freq_ghz
 
-    def ns_to_cycles(self, ns: float) -> float:
-        return ns * self.freq_ghz
-
 
 @dataclass(frozen=True)
 class SchedulerConfig:

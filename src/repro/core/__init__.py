@@ -48,7 +48,6 @@ from .runcache import (
 )
 from .pareto import (
     ParetoPoint,
-    dominates,
     frontier_labels,
     pareto_frontier,
     pareto_frontier_map,
@@ -102,7 +101,6 @@ __all__ = [
     "simulate_run",
     "cpu_mitigation_ratio",
     "cpu_relative_performance",
-    "dominates",
     "frontier_labels",
     "STAGE_SEQUENCE",
     "StageLatency",

@@ -31,20 +31,6 @@ class ParetoPoint:
     gpu_performance: float
 
 
-def dominates(a: ParetoPoint, b: ParetoPoint) -> bool:
-    """True if ``a`` is at least as good as ``b`` on both axes and strictly
-    better on at least one (both axes are maximized)."""
-    at_least = (
-        a.cpu_performance >= b.cpu_performance
-        and a.gpu_performance >= b.gpu_performance
-    )
-    strictly = (
-        a.cpu_performance > b.cpu_performance
-        or a.gpu_performance > b.gpu_performance
-    )
-    return at_least and strictly
-
-
 def vector_dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     """True if vector ``a`` dominates ``b`` (every axis maximized).
 

@@ -296,7 +296,6 @@ class _WorkerHandle:
     pid: Optional[int] = None
     #: Task seq currently executing ("start" seen, result not yet).
     current_seq: Optional[int] = None
-    tasks_done: int = 0
 
 
 @dataclass
@@ -402,11 +401,6 @@ class WorkerPool:
                 del self._workers[worker_id]
         while len(self._workers) < self.max_workers:
             self._spawn_worker()
-
-    def prewarm(self) -> None:
-        """Spawn the full worker set now (daemon start-up, benchmarks)."""
-        with self._batch_lock:
-            self.ensure_workers()
 
     def shutdown(self, timeout_s: float = 5.0) -> None:
         """Stop every worker; safe to call twice."""
@@ -514,7 +508,6 @@ class WorkerPool:
             handle = self._workers.get(worker_id)
             if handle is not None:
                 handle.current_seq = None
-                handle.tasks_done += 1
             index = pending.pop(seq, None)
             if index is None:  # stale (task already failed via a reap)
                 return

@@ -274,8 +274,6 @@ class FlightRecorder:
     ) -> None:
         for state in states if states is not None else self._by_kind.get(kind, ()):
             if not state.should_fire(ts_s):
-                if self.metrics is not None:
-                    self.metrics.counter("postmortem.suppressed").inc()
                 continue
             if self.metrics is not None:
                 self.metrics.counter("postmortem.triggered").inc()
@@ -318,8 +316,6 @@ class FlightRecorder:
         ts_s = at_s
         with self._lock:
             if not state.should_fire(ts_s):
-                if self.metrics is not None:
-                    self.metrics.counter("postmortem.suppressed").inc()
                 return None
             if self.metrics is not None:
                 self.metrics.counter("postmortem.triggered").inc()
@@ -339,8 +335,6 @@ class FlightRecorder:
             return self._capture_inner(trigger)
         except Exception:
             self.capture_errors += 1
-            if self.metrics is not None:
-                self.metrics.counter("postmortem.errors").inc()
             if self.ops_log is not None:
                 self.ops_log.log(
                     "postmortem.error",
@@ -408,8 +402,6 @@ class FlightRecorder:
             "trigger": trigger["name"],
             "kind": trigger["kind"],
         }
-        if self.metrics is not None:
-            self.metrics.counter("postmortem.captured").inc()
         if self.ops_log is not None:
             self.ops_log.log(
                 "postmortem.written",

@@ -8,9 +8,10 @@ mirrors) it trades *resolution* for *span* instead of dropping history
 outright: when the ring fills, adjacent entry pairs merge — the later
 entry's payload survives, its ``weight`` becomes the pair's sum, and its
 ``first_ts_s`` reaches back to the earlier entry — so the number of
-records *represented* is conserved (``total_weight == appended``) while
-detail coarsens toward the past, which is exactly the bias a postmortem
-wants: full fidelity near the trigger, summaries further back.
+records *represented* is conserved (the entries' weights sum to
+``appended``) while detail coarsens toward the past, which is exactly the
+bias a postmortem wants: full fidelity near the trigger, summaries
+further back.
 
 Determinism: merge points depend only on the append count, never on wall
 clock, so the same entry sequence always produces the same ring, byte
@@ -73,18 +74,13 @@ class FlightRing:
         check_ring_capacity(capacity)
         self.capacity = capacity
         self.entries: List[FlightEntry] = []
-        #: Entries ever appended (== total_weight; conservation check).
+        #: Entries ever appended (== the sum of the entries' weights).
         self.appended = 0
         #: Times the ring overflowed and adjacent pairs were merged.
         self.decimations = 0
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def total_weight(self) -> int:
-        """Records represented across all entries (== :attr:`appended`)."""
-        return sum(entry.weight for entry in self.entries)
 
     def append(self, ts_s: float, kind: str, data: Dict[str, Any]) -> FlightEntry:
         entry = FlightEntry(
@@ -101,13 +97,6 @@ class FlightRing:
             )
             self.decimations += 1
         return entry
-
-    def kind_counts(self) -> Dict[str, int]:
-        """Represented-record counts per kind (weights, not entries)."""
-        counts: Dict[str, int] = {}
-        for entry in self.entries:
-            counts[entry.kind] = counts.get(entry.kind, 0) + entry.weight
-        return {kind: counts[kind] for kind in sorted(counts)}
 
     def as_dict(self) -> Dict[str, Any]:
         return {

@@ -21,8 +21,8 @@ Four cooperating pieces (see ``docs/observability.md``):
   runs: periodic rollup sampling, edge-triggered
   :class:`~repro.obsd.slo.AlertEvent`\\ s into the ops JSONL, the
   ``GET /v1/alerts`` document, and ``slo.*`` gauges for ``/metrics``.
-* :mod:`repro.obsd.traces` — critical-path extraction, per-stage
-  queueing decomposition, and ``trace diff`` attribution of an
+* :mod:`repro.obsd.traces` — per-stage queueing decomposition (with
+  the batch's sim critical path) and ``trace diff`` attribution of an
   end-to-end latency delta between two jobs to their stages.
 
 :mod:`repro.obsd.replay` rebuilds rollup buckets offline from a
@@ -43,7 +43,7 @@ from .slo import (
     validate_slo_document,
 )
 from .engine import SloEngine
-from .traces import critical_path, stage_decomposition, trace_diff
+from .traces import stage_decomposition, trace_diff
 from .replay import ReplayedCapture, replay_ops_log
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "SLO_SCHEMA",
     "SloEngine",
     "SloSpec",
-    "critical_path",
     "evaluate_slos",
     "parse_slo_document",
     "replay_ops_log",

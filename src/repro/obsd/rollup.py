@@ -167,10 +167,6 @@ class RollupStore:
         self._append(bucket)
         return bucket
 
-    def observe_bucket(self, bucket: RollupBucket) -> None:
-        """Append an already-windowed bucket (the offline replay path)."""
-        self._append(bucket)
-
     def _append(self, bucket: RollupBucket) -> None:
         self.buckets.append(bucket)
         if len(self.buckets) >= self.capacity:

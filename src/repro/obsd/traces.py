@@ -3,7 +3,7 @@
 The serving tier's trace endpoint (``GET /v1/jobs/<id>/trace``) returns
 a span document whose stage spans chain on shared timestamps — admission
 back-off, submit, queue wait, batch execution (with per-run ``sim-*``
-children), render.  That construction makes two analyses exact rather
+children), render.  That construction makes its analyses exact rather
 than heuristic:
 
 * :func:`stage_decomposition` — how the job's end-to-end wall time
@@ -13,15 +13,12 @@ than heuristic:
   (assembly, dispatch, result collection — the part only the serving
   tier can shrink).  Because stages tile the root span, the rows sum to
   the end-to-end time by construction.
-* :func:`critical_path` — the chain of spans that actually bounded the
-  job's completion: every serial stage plus, inside the batch, the
-  longest-running sim span (the straggler run).
 * :func:`trace_diff` — attribute the end-to-end latency delta between
   two jobs to stages: "job B was 2.1 s slower, 87 % of it queue wait"
   is the queueing-delay attribution the paper makes for SSRs, applied
   to the service's own pipeline.
 
-All three are pure functions of the documents passed in;
+Both are pure functions of the documents passed in;
 :func:`trace_problems` says whether a document is one they can read.
 """
 
@@ -29,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["critical_path", "stage_decomposition", "trace_diff", "trace_problems"]
+__all__ = ["stage_decomposition", "trace_diff", "trace_problems"]
 
 #: Serial stage categories in pipeline order (as emitted by
 #: ``repro.service.obs.build_trace_document``).
@@ -149,77 +146,6 @@ def stage_decomposition(doc: Dict[str, Any]) -> Dict[str, Any]:
         "runs": len(sims),
         "stages": stages,
     }
-
-
-def critical_path(doc: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """The span chain that bounded the job's completion time.
-
-    Serial stages appear in pipeline order; inside the batch stage the
-    longest sim span (the straggler run) is the binding child, so it is
-    substituted for the batch span's interior with any remainder
-    attributed to batch overhead.  Each row: ``{"span_id", "name",
-    "seconds", "kind"}`` with ``kind`` in ``stage|sim``.
-    """
-    spans = _spans_by_id(doc)
-    path: List[Dict[str, Any]] = []
-    for span in sorted(
-        (s for s in doc.get("spans", []) if s["span_id"].startswith("backoff-")),
-        key=lambda s: s["start_s"],
-    ):
-        path.append(
-            {
-                "span_id": span["span_id"],
-                "name": span["name"],
-                "seconds": _duration(span),
-                "kind": "stage",
-            }
-        )
-    for span_id in ("submit", "queue"):
-        span = spans.get(span_id)
-        if span:
-            path.append(
-                {
-                    "span_id": span_id,
-                    "name": span["name"],
-                    "seconds": _duration(span),
-                    "kind": "stage",
-                }
-            )
-    batch = spans.get("batch")
-    if batch:
-        sims = [s for s in doc.get("spans", []) if s["span_id"].startswith("sim-")]
-        straggler = max(sims, key=_duration, default=None)
-        straggler_s = _duration(straggler)
-        overhead_s = max(0.0, _duration(batch) - straggler_s)
-        if overhead_s > 0:
-            path.append(
-                {
-                    "span_id": "batch",
-                    "name": "batch.overhead",
-                    "seconds": overhead_s,
-                    "kind": "stage",
-                }
-            )
-        if straggler is not None:
-            path.append(
-                {
-                    "span_id": straggler["span_id"],
-                    "name": straggler["name"],
-                    "seconds": straggler_s,
-                    "kind": "sim",
-                }
-            )
-    render = spans.get("render")
-    if render:
-        path.append(
-            {
-                "span_id": "render",
-                "name": render["name"],
-                "seconds": _duration(render),
-                "kind": "stage",
-            }
-        )
-    return path
 
 
 def trace_diff(doc_a: Dict[str, Any], doc_b: Dict[str, Any]) -> Dict[str, Any]:

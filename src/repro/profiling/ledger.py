@@ -140,11 +140,6 @@ class InterferenceLedger:
     def __len__(self) -> int:
         return len(self._cells)
 
-    def channel_total(self, channel: str) -> float:
-        if channel not in _CHANNEL_SET:
-            raise ValueError(f"unknown channel {channel!r}")
-        return sum(ns for (_, ch, _, _), ns in self._cells.items() if ch == channel)
-
     def channel_totals(self) -> Dict[str, float]:
         totals: Dict[str, float] = {channel: 0 for channel in ALL_CHANNELS}
         for (_, channel, _, _), ns in self._cells.items():
@@ -180,14 +175,6 @@ class InterferenceLedger:
         rows.sort(key=lambda r: (-r["ns"], r["ssr"], r["channel"], r["victim"], r["core"]))
         return rows
 
-    def reconcile(self, ssr_total_ns: float) -> float:
-        """Difference between service-channel sum and the SSR accumulator.
-
-        Zero means the conservation invariant holds; the property tests
-        assert exactly that.
-        """
-        return self.service_total_ns() - ssr_total_ns
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "entries": self.entries(),
@@ -213,9 +200,6 @@ class NullLedger:
     def __len__(self) -> int:
         return 0
 
-    def channel_total(self, channel: str) -> float:
-        return 0.0
-
     def channel_totals(self) -> Dict[str, float]:
         return {channel: 0 for channel in ALL_CHANNELS}
 
@@ -227,9 +211,6 @@ class NullLedger:
 
     def entries(self) -> List[Dict[str, object]]:
         return []
-
-    def reconcile(self, ssr_total_ns: float) -> float:
-        return -ssr_total_ns
 
     def as_dict(self) -> Dict[str, object]:
         return {

@@ -36,6 +36,7 @@ from ..telemetry.spans import (
     SPAN_SCHEMA,
     STATUS_OK,
     STATUS_REJECTED,
+    Span,
     stitched_chrome_trace,
 )
 from .jobs import DONE, FAILED, Job, TERMINAL_STATES
@@ -182,20 +183,10 @@ def _span(
     """One span dict, or None when its boundary timestamps are missing."""
     if start_s is None or end_s is None or end_s < start_s:
         return None
-    doc: Dict[str, Any] = {
-        "name": name,
-        "category": category,
-        "trace_id": trace_id,
-        "span_id": span_id,
-        "parent_id": parent_id,
-        "start_s": start_s,
-        "end_s": end_s,
-        "duration_s": end_s - start_s,
-        "status": status,
-    }
-    if args:
-        doc["args"] = args
-    return doc
+    return Span(
+        name, category, trace_id, span_id, start_s, end_s, parent_id, status,
+        args or {},
+    ).as_dict()
 
 
 def build_trace_document(job: Job) -> Dict[str, Any]:

@@ -364,9 +364,7 @@ class JobScheduler:
             events = info["events"]
             serialized = sim_event_dicts(events) if events is not None else None
             dropped = info["events_dropped"]
-            if dropped:
-                self.trace_dropped += dropped
-                self.metrics.counter("service.trace.dropped_events").inc(dropped)
+            self.trace_dropped += dropped
             run_doc = {
                 "run": info["run"],
                 "trace_ids": [job.trace_id for job in jobs],

@@ -400,11 +400,6 @@ class HissService:
         )
         gauges["service.trace.enabled"] = float(self.trace_enabled)
         gauges["service.trace.dropped_events"] = float(self.scheduler.trace_dropped)
-        # Ring-buffer overflow across every tracer the scheduler ran —
-        # the canonical name mirrors Tracer.dropped_events.
-        gauges["telemetry.trace.dropped_events"] = float(
-            self.scheduler.trace_dropped
-        )
         if self.slo_engine is not None:
             gauges.update(self.slo_engine.gauges())
         if self.flight is not None:

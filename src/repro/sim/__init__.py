@@ -7,8 +7,8 @@ All higher layers of the reproduction (OS kernel, IOMMU, GPU) are built on
 these primitives.
 """
 
-from .environment import EmptySchedule, Environment
-from .events import AllOf, AnyOf, Event, Interrupt, Timeout, NORMAL, PENDING, URGENT
+from .environment import Environment
+from .events import AllOf, Event, Interrupt, Timeout, NORMAL, PENDING, URGENT
 from .process import Process
 from .resources import Resource
 from .rng import RngRegistry, derive_seed
@@ -16,8 +16,6 @@ from .store import Store
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "EmptySchedule",
     "Environment",
     "Event",
     "Interrupt",

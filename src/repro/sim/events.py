@@ -3,7 +3,7 @@
 The simulation kernel is a small, self-contained engine in the style of
 SimPy: an :class:`Event` is a one-shot occurrence that callbacks can attach
 to, a :class:`Timeout` is an event scheduled a fixed delay in the future, and
-conditions (:class:`AnyOf` / :class:`AllOf`) compose events.
+the :class:`AllOf` condition waits for a set of events.
 
 Simulated time is kept in integer nanoseconds by convention (the engine
 itself only requires a comparable, addable number type).
@@ -121,7 +121,7 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` time units after it is created."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay, value: Any = None):
         if delay < 0:
@@ -129,55 +129,10 @@ class Timeout(Event):
         self.env = env
         self.callbacks = []
         self._defused = False
-        self.delay = delay
         self._ok = True
         self._value = value
         env._eid = eid = env._eid + 1
         heappush(env._queue, (env.now + delay, NORMAL, eid, self))
-
-
-class AnyOf(Event):
-    """Succeeds as soon as the first of ``events`` is triggered.
-
-    The value of the condition is the sub-event that fired first.  If a
-    sub-event *fails*, the condition succeeds with that failed event as its
-    value (and defuses it); the waiter is responsible for inspecting it.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self.events = list(events)
-        if not self.events:
-            raise ValueError("AnyOf requires at least one event")
-        for event in self.events:
-            if event.processed:
-                if not event.ok:
-                    event.defuse()
-                if not self.triggered:
-                    self.succeed(event)
-            elif not self.triggered:
-                # Not processed yet (even if already triggered, its callbacks
-                # run at its scheduled time, e.g. a Timeout's expiry).  Once
-                # the condition has fired there is no point subscribing to
-                # the remaining events: on long-lived events the callbacks
-                # would pile up and slow every later dispatch.
-                event.callbacks.append(self._on_trigger)
-
-    def _on_trigger(self, event: Event) -> None:
-        if not event.ok:
-            event.defuse()
-        if not self.triggered:
-            self.succeed(event)
-            # Detach from the still-pending siblings; a long-lived event
-            # should not accumulate dead condition callbacks.
-            for other in self.events:
-                if other is not event and other.callbacks is not None:
-                    try:
-                        other.callbacks.remove(self._on_trigger)
-                    except ValueError:
-                        pass
 
 
 class AllOf(Event):

@@ -25,19 +25,9 @@ class Resource:
         self._waiters: Deque[Event] = deque()
 
     @property
-    def in_use(self) -> int:
-        """Number of units currently held."""
-        return self._in_use
-
-    @property
     def available(self) -> int:
         """Number of units currently free."""
         return self.capacity - self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a unit."""
-        return len(self._waiters)
 
     def request(self) -> Event:
         """Acquire one unit; the returned event fires once granted."""
@@ -58,11 +48,3 @@ class Resource:
             self._waiters.popleft().succeed()
         else:
             self._in_use -= 1
-
-    def cancel(self, event: Event) -> bool:
-        """Withdraw a pending request (returns False if already granted)."""
-        try:
-            self._waiters.remove(event)
-            return True
-        except ValueError:
-            return False

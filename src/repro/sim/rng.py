@@ -34,9 +34,5 @@ class RngRegistry:
             self._streams[name] = stream
         return stream
 
-    def fork(self, name: str) -> "RngRegistry":
-        """Create a child registry whose master seed depends on ``name``."""
-        return RngRegistry(derive_seed(self.master_seed, f"fork:{name}"))
-
     def __contains__(self, name: str) -> bool:
         return name in self._streams

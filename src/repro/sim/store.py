@@ -87,31 +87,6 @@ class Store:
         self._dispatch()
         return True, item
 
-    def cancel(self, event: Event) -> bool:
-        """Withdraw a pending put/get event (e.g., after a timeout race).
-
-        Returns True if the event was found and removed; False if it had
-        already been satisfied (in which case the caller owns its outcome).
-        """
-        for queue in (self._getters,):
-            try:
-                queue.remove(event)
-                return True
-            except ValueError:
-                pass
-        for entry in list(self._putters):
-            if entry[0] is event:
-                self._putters.remove(entry)
-                return True
-        return False
-
-    def drain(self) -> list:
-        """Remove and return all currently stored items (no event plumbing)."""
-        items = list(self.items)
-        self.items.clear()
-        self._dispatch()
-        return items
-
     # ------------------------------------------------------------------
     # Internal
     # ------------------------------------------------------------------

@@ -8,8 +8,8 @@ Its pieces (see ``docs/observability.md``):
 * :mod:`repro.telemetry.metrics` — counters and fixed-bucket latency
   histograms (p50/p95/p99/max) for end-of-run aggregates.
 * :mod:`repro.telemetry.export` — Chrome ``trace_event`` JSON (open in
-  Perfetto / ``chrome://tracing``) and aligned-text timeline summaries,
-  surfaced via the ``hiss-trace`` CLI and ``hiss-experiments --trace``.
+  Perfetto / ``chrome://tracing``), written by ``hiss-experiments
+  --trace`` and read back as aligned text by the ``hiss-trace`` CLI.
 * :mod:`repro.telemetry.spans` — wall-clock lifecycle spans with trace
   ids for the serving tier: span documents, validation, and stitching of
   service spans with in-sim event streams into one Chrome trace.
@@ -35,8 +35,6 @@ from .export import (
     METRICS_TEXT_CONTENT_TYPE,
     chrome_trace_dict,
     render_metrics_text,
-    render_timeline,
-    timeline_summary,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -69,10 +67,8 @@ __all__ = [
     "new_span_id",
     "new_trace_id",
     "render_metrics_text",
-    "render_timeline",
     "set_active_tracer",
     "stitched_chrome_trace",
-    "timeline_summary",
     "trace_document",
     "validate_chrome_trace",
     "validate_trace_document",

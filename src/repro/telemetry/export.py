@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome ``trace_event`` JSON and aligned-text timelines.
+"""Trace exporters: Chrome ``trace_event`` JSON and the metrics text.
 
 The JSON exporter emits the Trace Event Format understood by Perfetto and
 ``chrome://tracing``: one ``pid`` for the simulated SoC, one ``tid`` per
@@ -6,16 +6,16 @@ track (CPU cores first, then named device tracks such as ``iommu`` or
 ``gpu:ubench``).  Spans become complete events (``ph: "X"``), instants
 ``ph: "i"``, counter samples ``ph: "C"``; timestamps are microseconds (the
 format's unit) with sub-microsecond precision preserved as fractions.
+``hiss-trace summary`` and ``timeline`` (:mod:`repro.telemetry.cli`) read
+the written document back as aligned text.
 
-The text exporters answer the same questions without leaving the
-terminal: :func:`timeline_summary` aggregates span time per track, and
-:func:`render_timeline` lists one track's events chronologically.
+:func:`render_metrics_text` is the Prometheus-style text exposition the
+service's ``/metrics`` serves.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from typing import Any, Dict, List, Optional, Union
 
 from .metrics import MetricsRegistry
@@ -25,8 +25,6 @@ __all__ = [
     "METRICS_TEXT_CONTENT_TYPE",
     "chrome_trace_dict",
     "render_metrics_text",
-    "render_timeline",
-    "timeline_summary",
     "validate_chrome_trace",
     "write_chrome_trace",
 ]
@@ -219,57 +217,3 @@ def validate_chrome_trace(doc: Any) -> List[str]:
         if phase == "C" and not isinstance(event.get("args"), dict):
             errors.append(f"{where}: counter event without args")
     return errors
-
-
-# ----------------------------------------------------------------------
-# Text timelines
-# ----------------------------------------------------------------------
-def timeline_summary(tracer: Tracer) -> str:
-    """Aligned per-track summary: span time and event counts by name."""
-    # (track, name) -> [total_dur_ns, span_count, instant_count]
-    cells: Dict[tuple, List[float]] = defaultdict(lambda: [0.0, 0, 0])
-    for event in tracer.events():
-        cell = cells[(event.track, event.name)]
-        if event.phase == PHASE_SPAN:
-            cell[0] += event.dur_ns
-            cell[1] += 1
-        elif event.phase == PHASE_INSTANT:
-            cell[2] += 1
-    header = f"{'track':>12s}  {'event':28s} {'total_us':>12s} {'spans':>8s} {'instants':>9s}"
-    lines = [header, "-" * len(header)]
-    for track in tracer.tracks():
-        names = sorted(name for (t, name) in cells if t == track)
-        for name in names:
-            total_ns, spans, instants = cells[(track, name)]
-            lines.append(
-                f"{_track_label(track):>12s}  {name:28s} "
-                f"{total_ns / 1e3:12.2f} {spans:8d} {instants:9d}"
-            )
-    if tracer.dropped:
-        lines.append(f"(ring buffer dropped {tracer.dropped} oldest events)")
-    return "\n".join(lines)
-
-
-def render_timeline(
-    tracer: Tracer,
-    track: Union[int, str],
-    limit: Optional[int] = 50,
-) -> str:
-    """One track's events in time order, one aligned line per event."""
-    selected = [e for e in tracer.events() if e.track == track]
-    selected.sort(key=lambda e: (e.ts_ns, -e.dur_ns))
-    if limit is not None:
-        selected = selected[:limit]
-    lines = [f"timeline for {_track_label(track)} ({len(selected)} events)"]
-    for event in selected:
-        if event.phase == PHASE_SPAN:
-            shape = f"[{event.dur_ns / 1e3:10.2f}us]"
-        elif event.phase == PHASE_COUNTER:
-            shape = f"(={event.args['value']})"
-        else:
-            shape = "*"
-        detail = ""
-        if event.args and event.phase != PHASE_COUNTER:
-            detail = "  " + ", ".join(f"{k}={v}" for k, v in sorted(event.args.items()))
-        lines.append(f"{event.ts_ns / 1e3:14.3f}us  {event.name:28s} {shape}{detail}")
-    return "\n".join(lines)

@@ -64,7 +64,9 @@ class Tracer:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._events: deque = deque(maxlen=capacity)
-        #: Events not kept for lack of room (see :attr:`dropped_events`).
+        #: Events not kept because the tracer was at :attr:`capacity` when
+        #: they arrived: evicted from a ring, or never built by a
+        #: :class:`RunTracer`.
         self.dropped = 0
         self.metrics = MetricsRegistry()
 
@@ -126,16 +128,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    @property
-    def dropped_events(self) -> int:
-        """Events not kept because the tracer was at :attr:`capacity` when
-        they arrived: evicted from a ring, or never built by a
-        :class:`RunTracer`.  The queryable companion of the raw
-        :attr:`dropped` counter — surfaced as the
-        ``telemetry.trace.dropped_events`` gauge in the service's
-        ``/metrics``."""
-        return self.dropped
-
     def __len__(self) -> int:
         return len(self._events)
 
@@ -148,10 +140,6 @@ class Tracer:
         cores = sorted({e.track for e in self._events if isinstance(e.track, int)})
         named = sorted({e.track for e in self._events if isinstance(e.track, str)})
         return [*cores, *named]
-
-    def clear(self) -> None:
-        self._events.clear()
-        self.dropped = 0
 
 
 class RunTracer(Tracer):
@@ -187,10 +175,6 @@ class NullTracer:
         self.dropped = 0
         self.metrics = MetricsRegistry()
 
-    @property
-    def dropped_events(self) -> int:
-        return 0
-
     def span(self, *args, **kwargs) -> None:
         pass
 
@@ -211,9 +195,6 @@ class NullTracer:
 
     def tracks(self) -> List[Track]:
         return []
-
-    def clear(self) -> None:
-        pass
 
 
 #: The process-wide disabled tracer (shared; it holds no state).

@@ -14,7 +14,6 @@ from .streams import (
     BranchStreamSpec,
     generate_addresses,
     generate_branches,
-    sequential_addresses,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "generate_branches",
     "measure_steady_state",
     "run_window",
-    "sequential_addresses",
 ]

@@ -97,9 +97,3 @@ def generate_branches(
         majority = (site & 1) == 0
         taken = majority if random() < bias else not majority
         yield pc, taken
-
-
-def sequential_addresses(base: int, lines: int, line_size: int = 64) -> Iterator[int]:
-    """Yield one address per line, in order — used to warm or scan a region."""
-    for line in range(lines):
-        yield base + line * line_size

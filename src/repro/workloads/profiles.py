@@ -84,16 +84,3 @@ class GpuAppProfile:
     host_poll_period_ns: int = 800_000
     host_poll_burst_ns: int = 150_000
     ssr_kind: str = "page_fault"
-
-    @property
-    def mean_fault_interval_ns(self) -> float:
-        """Average spacing between faults while actively computing."""
-        if self.faults_per_chunk <= 0:
-            return float("inf")
-        return self.compute_chunk_ns / self.faults_per_chunk
-
-    def without_ssrs(self) -> "GpuAppProfile":
-        """The same workload with pinned memory (no faults)."""
-        from dataclasses import replace
-
-        return replace(self, faults_per_chunk=0.0, burst_faults=0)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import (
     ParetoPoint,
-    dominates,
     frontier_labels,
     pareto_frontier,
     pareto_frontier_map,
@@ -16,6 +15,14 @@ from repro.core import (
 
 def p(label, cpu, gpu):
     return ParetoPoint(label=label, cpu_performance=cpu, gpu_performance=gpu)
+
+
+def dominates(a, b):
+    """2-D dominance the way :func:`pareto_frontier` decides it: on each
+    point's ``(cpu, gpu)`` vector."""
+    return vector_dominates(
+        (a.cpu_performance, a.gpu_performance), (b.cpu_performance, b.gpu_performance)
+    )
 
 
 class TestDominates:

@@ -9,10 +9,14 @@ rendering plus its run, event and drop counts:
   dropped).  Wall times, worker pids, trace ids and span ids differ from
   serve to serve and are stripped; runs are sorted by label, so the one
   digest must hold at ``jobs=1`` (in-process) and ``jobs=2`` (pool).
-* ``cli_trace`` — the ``traceEvents`` list of ``hiss-experiments fig4
-  --quick --horizon-ms 2 --trace`` at ``--jobs 1``, where the array is
-  deterministic.  Its timestamps are simulated time; it holds no
-  wall-clock field.
+* ``cli_trace`` — the ``traceEvents`` of ``hiss-experiments fig4
+  --quick --horizon-ms 2 --trace`` at ``--jobs 1``, hashed as each tid's
+  event sequence with tids in ascending order.  Tids come from sorted
+  track names, so they are fixed; the interleaving of runs in the file is
+  not: it follows the order the runs were executed in, and an unobserved
+  cost model breaks longest-first ties on ``run_key_digest``, which folds
+  in the code fingerprint.  Its timestamps are simulated time; it holds
+  no wall-clock field.
 
 A change that only makes tracing cheaper must reproduce every byte.  A
 change that means to move an event regenerates the data, and says why,
@@ -92,8 +96,11 @@ def produce_cli_trace() -> dict:
     finally:
         clear_cache()
     events = doc["traceEvents"]
+    by_tid = {}
+    for event in events:
+        by_tid.setdefault(event["tid"], []).append(event)
     return {
-        "sha256": _digest(events),
+        "sha256": _digest([[tid, by_tid[tid]] for tid in sorted(by_tid)]),
         "events": len(events),
         "dropped": doc["otherData"]["dropped_events"],
     }

@@ -1,8 +1,8 @@
-"""Critical-path extraction, stage decomposition, and trace diffing."""
+"""Stage decomposition (with the batch's sim critical path) and trace diffing."""
 
 import pytest
 
-from repro.obsd import critical_path, stage_decomposition, trace_diff
+from repro.obsd import stage_decomposition, trace_diff
 
 
 def _span(span_id, name, start_s, end_s):
@@ -83,26 +83,24 @@ class TestStageDecomposition:
 
 
 class TestCriticalPath:
-    def test_straggler_sim_is_the_binding_child(self):
-        path = critical_path(_trace(sim_windows=((0.0, 0.5), (0.1, 0.7))))
-        sim_rows = [row for row in path if row["kind"] == "sim"]
-        assert [row["span_id"] for row in sim_rows] == ["sim-1"]
-        assert sim_rows[0]["seconds"] == pytest.approx(0.6)
+    """The serial stages and the batch's sim critical path, as
+    :func:`stage_decomposition` splits a job."""
 
     def test_serial_stages_in_pipeline_order(self):
-        path = critical_path(_trace(backoff_rounds=2, submit_start=1.0))
-        ids = [row["span_id"] for row in path]
-        assert ids == ["backoff-0", "backoff-1", "submit", "queue",
-                       "batch", "sim-1", "render"]
+        decomp = stage_decomposition(_trace(backoff_rounds=2, submit_start=1.0))
+        assert [row["stage"] for row in decomp["stages"]] == [
+            "backoff", "submit", "queue", "sim_critical", "batch_overhead", "render",
+        ]
 
     def test_no_sims_means_pure_overhead_batch(self):
         doc = _trace()
         doc["spans"] = [s for s in doc["spans"]
                         if not s["span_id"].startswith("sim-")]
-        path = critical_path(doc)
-        assert all(row["kind"] == "stage" for row in path)
-        batch = next(row for row in path if row["span_id"] == "batch")
-        assert batch["seconds"] == pytest.approx(0.75)
+        decomp = stage_decomposition(doc)
+        by_stage = {row["stage"]: row["seconds"] for row in decomp["stages"]}
+        assert decomp["runs"] == 0
+        assert by_stage["sim_critical"] == 0.0
+        assert by_stage["batch_overhead"] == pytest.approx(0.75)
 
 
 class TestTraceDiff:

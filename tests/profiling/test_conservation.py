@@ -68,8 +68,7 @@ class TestConservation:
             system, _metrics = _run(cpu, gpu, ssr, config, profiler=profiler)
             ledger = profiler.ledger
             total = system.kernel.ssr_accounting.total_ns
-            assert ledger.reconcile(total) == 0, (cpu, gpu, ssr, config.label)
-            assert ledger.service_total_ns() == total
+            assert ledger.service_total_ns() == total, (cpu, gpu, ssr, config.label)
             # Per-channel totals are individually non-negative and sum back.
             totals = ledger.channel_totals()
             assert sum(totals[ch] for ch in SSR_SERVICE_CHANNELS) == total

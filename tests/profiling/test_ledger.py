@@ -44,8 +44,9 @@ class TestInterferenceLedger:
         ledger.charge("iommu-ppr", CH_TOP_HALF, "blackscholes/0", 2, 50)
         ledger.charge("page_fault", CH_WORKER, None, 1, 30)
         assert len(ledger) == 2
-        assert ledger.channel_total(CH_TOP_HALF) == 150
-        assert ledger.channel_total(CH_WORKER) == 30
+        totals = ledger.channel_totals()
+        assert totals[CH_TOP_HALF] == 150
+        assert totals[CH_WORKER] == 30
 
     def test_service_vs_side_totals(self):
         ledger = InterferenceLedger()
@@ -54,8 +55,6 @@ class TestInterferenceLedger:
         ledger.charge("uarch", CH_POLLUTION, "facesim/1", 3, 9)
         assert ledger.service_total_ns() == 70
         assert ledger.side_total_ns() == 20
-        assert ledger.reconcile(70) == 0
-        assert ledger.reconcile(71) == -1
 
     def test_entries_sorted_and_app_collapsed(self):
         ledger = InterferenceLedger()
@@ -81,8 +80,6 @@ class TestInterferenceLedger:
     def test_unknown_channel_rejected(self):
         with pytest.raises(ValueError):
             InterferenceLedger().charge("x", "teleport", None, 0, 1)
-        with pytest.raises(ValueError):
-            InterferenceLedger().channel_total("teleport")
 
     def test_channel_totals_covers_all_channels(self):
         totals = InterferenceLedger().channel_totals()

@@ -139,6 +139,29 @@ class TestAutoCapture:
             assert gauges["postmortem.captured"] == 1.0
             assert gauges["postmortem.suppressed"] == 4.0
 
+    def test_each_metric_family_is_exported_once(self, tmp_path):
+        """A debounced storm and a traced job that drops events touch every
+        postmortem and trace-drop metric; each is one family, a gauge."""
+        with _serve(tmp_path) as svc:
+            now = time.time()
+            for i in range(5):
+                svc.flight.observe(
+                    {"ts": now + i, "event": "slo.alert", "slo": "e2e-tight",
+                     "burn_fast": 20.0, "burn_slow": 15.0}
+                )
+            assert svc.flight.flush(timeout_s=30)
+            client = ServiceClient(svc.url, timeout_s=30)
+            body = client.submit(["fig4"], quick=True, horizon_ms=5.0)
+            assert client.wait(body["job"]["id"], timeout_s=120)["state"] == "done"
+            doc = client.metrics()
+            text = client.metrics(text=True)
+        gauges = doc["gauges"]
+        assert gauges["service.trace.dropped_events"] > 0
+        assert gauges["postmortem.captured"] >= 1 and gauges["postmortem.suppressed"] >= 1
+        declared = [line.split()[2] for line in text.splitlines() if line.startswith("# TYPE ")]
+        assert len(declared) == len(set(declared))
+        assert not set(doc["counters"]) & set(gauges)
+
 
 class TestManualTrigger:
     def test_post_captures_on_demand(self, tmp_path):

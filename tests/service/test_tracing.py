@@ -274,11 +274,6 @@ class TestOpsSurfaces:
             gauges = doc["gauges"]
             assert gauges["service.trace.enabled"] == 1.0
             assert "service.trace.dropped_events" in gauges
-            # Canonical name mirroring Tracer.dropped_events.
-            assert (
-                gauges["telemetry.trace.dropped_events"]
-                == gauges["service.trace.dropped_events"]
-            )
             assert "service.disk_cache.hit_rate" in gauges
             text = client.metrics(text=True)
             assert "service.trace.enabled" in text

@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.sim import EmptySchedule, Environment
+from repro.sim import Environment
 
 
 class TestEmptySchedule:
-    def test_step_on_empty_raises(self):
-        with pytest.raises(EmptySchedule):
-            Environment().step()
-
     def test_run_on_empty_is_noop(self):
         env = Environment()
         env.run()
@@ -25,25 +21,16 @@ class TestEmptySchedule:
         assert env.peek() == 10
 
 
-class TestRunUntilEvent:
-    def test_dry_schedule_raises(self):
-        env = Environment()
-        with pytest.raises(RuntimeError, match="ran dry"):
-            env.run_until_event(env.event())
-
+class TestRunRaises:
     def test_failed_event_raises_its_exception(self):
+        """An undefused failure raises out of a bounded ``run`` too, at the
+        instant it is processed."""
         env = Environment()
         target = env.event()
         env.call_later(5, lambda: target.fail(KeyError("why")))
         with pytest.raises(KeyError):
-            env.run_until_event(target)
-
-    def test_limit_leaves_event_pending(self):
-        env = Environment()
-        target = env.timeout(1_000)
-        with pytest.raises(TimeoutError):
-            env.run_until_event(target, limit=10)
-        assert not target.processed
+            env.run(until=100)
+        assert env.now == 5
 
 
 class TestInitialTime:

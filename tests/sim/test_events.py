@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Event, Timeout
+from repro.sim import Environment
 
 
 @pytest.fixture
@@ -94,35 +94,6 @@ class TestTimeout:
             timeout.callbacks.append(lambda e, t=tag: order.append(t))
         env.run()
         assert order == ["a", "b", "c"]
-
-
-class TestAnyOf:
-    def test_first_event_wins(self, env):
-        fast = env.timeout(5, value="fast")
-        slow = env.timeout(50, value="slow")
-        cond = env.any_of([fast, slow])
-        env.run()
-        assert cond.value is fast
-
-    def test_already_triggered_event(self, env):
-        event = env.event()
-        event.succeed("x")
-        cond = env.any_of([event, env.timeout(100)])
-        env.run(until=1)
-        assert cond.triggered
-        assert cond.value is event
-
-    def test_empty_rejected(self, env):
-        with pytest.raises(ValueError):
-            env.any_of([])
-
-    def test_failed_subevent_is_reported_not_raised(self, env):
-        bad = env.event()
-        cond = env.any_of([bad, env.timeout(100)])
-        bad.fail(RuntimeError("inner"))
-        env.run(until=1)
-        assert cond.value is bad
-        assert not bad.ok
 
 
 class TestAllOf:

@@ -221,34 +221,6 @@ class TestInterrupts:
 
 
 class TestEnvironmentHelpers:
-    def test_call_at(self, env):
-        ticks = []
-        env.call_at(30, lambda: ticks.append(env.now))
-        env.run()
-        assert ticks == [30]
-
-    def test_call_at_past_raises(self, env):
-        env.run(until=10)
-        with pytest.raises(ValueError):
-            env.call_at(5, lambda: None)
-
-    def test_run_until_event(self, env):
-        def worker():
-            yield env.timeout(12)
-            return "w"
-
-        proc = env.process(worker())
-        assert env.run_until_event(proc) == "w"
-        assert env.now == 12
-
-    def test_run_until_event_limit(self, env):
-        def worker():
-            yield env.timeout(1000)
-
-        proc = env.process(worker())
-        with pytest.raises(TimeoutError):
-            env.run_until_event(proc, limit=10)
-
     def test_run_advances_clock_to_until(self, env):
         env.run(until=500)
         assert env.now == 500

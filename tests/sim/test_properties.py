@@ -57,17 +57,6 @@ class TestProcessJoinAlgebra:
         env.run()
         assert done_at == [max(delays)]
 
-    @given(delays=st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=10))
-    @settings(max_examples=40, deadline=None)
-    def test_any_of_completes_at_min_delay(self, delays):
-        env = Environment()
-        condition = env.any_of([env.timeout(d) for d in delays])
-        done_at = []
-        condition.callbacks.append(lambda e: done_at.append(env.now))
-        env.run()
-        assert done_at[0] == min(delays)
-
-
 class TestStoreConservation:
     @given(
         items=st.lists(st.integers(), min_size=1, max_size=30),

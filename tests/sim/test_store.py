@@ -141,39 +141,6 @@ class TestBoundedStoreBackpressure:
         ok, item = store.try_get()
         assert ok and item == "x"
 
-    def test_cancel_pending_get(self, env):
-        store = Store(env)
-        event = store.get()
-        assert store.cancel(event)
-        store.put("x")
-        env.run()
-        assert len(store) == 1  # not consumed by the cancelled getter
-
-    def test_cancel_pending_put(self, env):
-        store = Store(env, capacity=1)
-        store.put("a")
-        pending = store.put("b")
-        assert store.cancel(pending)
-        store.get()
-        env.run()
-        assert len(store) == 0  # "b" never entered
-
-    def test_cancel_satisfied_event_returns_false(self, env):
-        store = Store(env)
-        done = store.put("a")
-        assert not store.cancel(done)
-
-    def test_drain(self, env):
-        store = Store(env, capacity=2)
-        store.put(1)
-        store.put(2)
-        blocked = store.put(3)
-        assert store.drain() == [1, 2]
-        env.run()
-        assert blocked.triggered  # drain freed space
-        assert list(store.items) == [3]
-
-
 class TestResource:
     def test_mutual_exclusion(self, env):
         lock = Resource(env, capacity=1)
@@ -209,14 +176,6 @@ class TestResource:
     def test_release_without_request_raises(self, env):
         with pytest.raises(RuntimeError):
             Resource(env).release()
-
-    def test_cancel_pending_request(self, env):
-        lock = Resource(env, capacity=1)
-        lock.request()
-        pending = lock.request()
-        assert lock.cancel(pending)
-        lock.release()
-        assert lock.available == 1
 
     def test_invalid_capacity(self, env):
         with pytest.raises(ValueError):

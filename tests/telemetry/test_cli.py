@@ -26,6 +26,15 @@ class TestValidateCommand:
         assert trace_main(["validate", trace_file]) == 0
         assert "OK" in capsys.readouterr().out
 
+    def test_reports_dropped_events(self, tmp_path, capsys):
+        tracer = Tracer(capacity=1)
+        tracer.instant("a", "t", 0, 0)
+        tracer.instant("b", "t", 0, 1)
+        path = str(tmp_path / "trace.json")
+        write_chrome_trace(tracer, path)
+        assert trace_main(["validate", path]) == 0
+        assert "(3 events, 1 dropped)" in capsys.readouterr().out
+
     def test_invalid_document(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"traceEvents": [{"ph": "X"}]}))

@@ -1,4 +1,5 @@
-"""Tests for the Chrome-trace exporter, validator, and text timelines."""
+"""Tests for the Chrome-trace exporter, validator, and the text timelines
+``hiss-trace`` renders from an exported document."""
 
 import json
 
@@ -7,8 +8,6 @@ import pytest
 from repro.telemetry import (
     Tracer,
     chrome_trace_dict,
-    render_timeline,
-    timeline_summary,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -90,25 +89,34 @@ class TestValidator:
 
 
 class TestTextTimelines:
-    def test_summary_aggregates_span_time(self, small_tracer):
-        text = timeline_summary(small_tracer)
+    """What ``hiss-trace summary`` and ``timeline`` print for an export."""
+
+    @staticmethod
+    def _render(tracer, tmp_path, capsys, *argv):
+        from repro.telemetry.cli import main as trace_main
+
+        path = str(tmp_path / "trace.json")
+        write_chrome_trace(tracer, path)
+        assert trace_main([argv[0], path, *argv[1:]]) == 0
+        return capsys.readouterr().out
+
+    def test_summary_aggregates_span_time(self, small_tracer, tmp_path, capsys):
+        text = self._render(small_tracer, tmp_path, capsys, "summary")
         assert "core 0" in text and "iommu" in text
-        assert "user" in text and "cc6" in text
+        user = next(line for line in text.splitlines() if " user " in line)
+        assert user.split()[-3:] == ["2.00", "1", "0"]  # 2 us in one span
+        assert "cc6" in text
 
-    def test_summary_reports_drops(self):
-        tracer = Tracer(capacity=1)
-        tracer.instant("a", "t", 0, 0)
-        tracer.instant("b", "t", 0, 1)
-        assert "dropped 1" in timeline_summary(tracer)
-
-    def test_render_timeline_orders_events(self, small_tracer):
-        text = render_timeline(small_tracer, 0)
+    def test_render_timeline_orders_events(self, small_tracer, tmp_path, capsys):
+        text = self._render(small_tracer, tmp_path, capsys, "timeline", "--track", "core 0")
         lines = text.splitlines()
         assert lines[0].startswith("timeline for core 0")
         assert lines[1].strip().startswith("1.000us")  # the user span at 1us
 
-    def test_render_timeline_limit(self, small_tracer):
-        text = render_timeline(small_tracer, 0, limit=1)
+    def test_render_timeline_limit(self, small_tracer, tmp_path, capsys):
+        text = self._render(
+            small_tracer, tmp_path, capsys, "timeline", "--track", "core 0", "--limit", "1"
+        )
         assert len(text.splitlines()) == 2
 
 

@@ -32,7 +32,7 @@ class TestImmutability:
 class TestCpuConfig:
     def test_cycle_conversions_roundtrip(self):
         cpu = CpuConfig()
-        assert cpu.ns_to_cycles(cpu.cycles_to_ns(1234.0)) == pytest.approx(1234.0)
+        assert cpu.cycles_to_ns(1234.0 * cpu.freq_ghz) == pytest.approx(1234.0)
 
     def test_frequency_matches_paper_testbed(self):
         assert CpuConfig().freq_ghz == 3.7

@@ -9,7 +9,6 @@ from repro.uarch import (
     BranchStreamSpec,
     generate_addresses,
     generate_branches,
-    sequential_addresses,
 )
 
 
@@ -87,9 +86,3 @@ class TestBranchGeneration:
         a = list(generate_branches(spec, 40, random.Random(5)))
         b = list(generate_branches(spec, 40, random.Random(5)))
         assert a == b
-
-
-class TestSequentialAddresses:
-    def test_one_address_per_line(self):
-        addresses = list(sequential_addresses(0x1000, 4, 64))
-        assert addresses == [0x1000, 0x1040, 0x1080, 0x10C0]

@@ -6,7 +6,6 @@ from repro.workloads import (
     CpuAppProfile,
     GPU_APP_NAMES,
     GPU_NAMES,
-    GpuAppProfile,
     PARSEC_NAMES,
     gpu_app,
     parsec,
@@ -28,26 +27,6 @@ class TestCpuAppProfile:
 
     def test_profiles_hashable(self):
         assert hash(parsec("x264")) == hash(parsec("x264"))
-
-
-class TestGpuAppProfile:
-    def test_mean_fault_interval(self):
-        profile = GpuAppProfile(
-            name="p", compute_chunk_ns=1_000_000, faults_per_chunk=10, blocking=False
-        )
-        assert profile.mean_fault_interval_ns == pytest.approx(100_000)
-
-    def test_mean_fault_interval_no_faults(self):
-        profile = GpuAppProfile(
-            name="p", compute_chunk_ns=1_000_000, faults_per_chunk=0, blocking=False
-        )
-        assert profile.mean_fault_interval_ns == float("inf")
-
-    def test_without_ssrs(self):
-        quiet = gpu_app("sssp").without_ssrs()
-        assert quiet.faults_per_chunk == 0.0
-        assert quiet.burst_faults == 0
-        assert quiet.compute_chunk_ns == gpu_app("sssp").compute_chunk_ns
 
 
 class TestCatalogs:
@@ -86,7 +65,8 @@ class TestCatalogs:
 
         ubench = gpu_app("ubench")
         assert not ubench.blocking
-        assert ubench.mean_fault_interval_ns < 50_000  # continuous storm
+        # A continuous storm: under 50 us between faults while computing.
+        assert ubench.compute_chunk_ns / ubench.faults_per_chunk < 50_000
 
         sssp = gpu_app("sssp")
         assert sssp.blocking and sssp.dependent_faults > 0
