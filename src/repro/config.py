@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Tuple
 
 from .uarch.state import UarchConfig
@@ -276,6 +277,28 @@ class SystemConfig:
             return f"{mitigation} + QoS({self.qos.label})"
         return mitigation
 
+    def __hash__(self) -> int:
+        """The fields' hash, computed once per instance.
+
+        Every run-key lookup hashes its config.  The value lives in the
+        instance ``__dict__`` but is no field, so ``asdict``,
+        :meth:`stable_json` and :meth:`schema_digest` never see it, and
+        :meth:`__getstate__` leaves it out of pickled and copied state: a
+        ``spawn`` child hashes strings with another seed.
+        """
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            values = tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+            value = self.__dict__["_hash"] = hash(values)
+            return value
+
+    def __getstate__(self) -> dict:
+        """The fields, without the cached hash (pickling and copying)."""
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     # ------------------------------------------------------------------
     # Stable hashing (persistent run caching across processes/invocations)
     # ------------------------------------------------------------------
@@ -284,11 +307,10 @@ class SystemConfig:
 
         Key order is sorted and separators are fixed, so two equal configs
         — in any two Python processes — produce byte-identical strings.
-        Floats round-trip exactly (JSON uses ``repr``-precision).
+        Floats round-trip exactly (JSON uses ``repr``-precision).  Rendered
+        once per distinct value (:func:`_render`).
         """
-        return json.dumps(
-            dataclasses.asdict(self), sort_keys=True, separators=(",", ":")
-        )
+        return _render(self)
 
     def stable_digest(self) -> str:
         """SHA-256 of :meth:`stable_json`: a process-independent identity."""
@@ -321,3 +343,16 @@ class SystemConfig:
 
         walk(cls)
         return digest.hexdigest()
+
+
+@lru_cache(maxsize=4096)
+def _render(config: SystemConfig) -> str:
+    """:meth:`SystemConfig.stable_json`, memoized by value.
+
+    Each planning pass builds fresh but equal configs, and sorting its
+    keys, digesting a sweep's config and bundling a postmortem all render
+    them; an equal config reuses the first rendering.
+    """
+    return json.dumps(
+        dataclasses.asdict(config), sort_keys=True, separators=(",", ":")
+    )

@@ -129,12 +129,16 @@ def order_longest_first(keys: Sequence[RunKey]) -> List[RunKey]:
     """Cost-model dispatch order: predicted-longest first, digest ties.
 
     Longest-job-first bounds the batch makespan by the longest single run
-    (plus one task of slack per worker); the tie-break on the stable
-    run-key digest keeps the order deterministic even before the model
-    has observed anything.
+    (plus one task of slack per worker); the tie-break on the run-key
+    digest keeps the order deterministic even before the model has
+    observed anything.  That digest leaves out the code fingerprint, so a
+    source edit does not reorder the runs (nor a ``--trace`` file's).
     """
     model = cost_model()
-    return sorted(keys, key=lambda key: (-model.predict(key), run_key_digest(key)))
+    return sorted(
+        keys,
+        key=lambda key: (-model.predict(key), run_key_digest(key, fingerprint="")),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -426,6 +426,11 @@ class HissService:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    #: A response goes out as two writes, headers then body.  With Nagle's
+    #: algorithm on, the body waits for the client's delayed ACK of the
+    #: headers (~40 ms) on a kept-alive connection; TCP_NODELAY sends it at
+    #: once without copying the body into the header buffer.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> HissService:

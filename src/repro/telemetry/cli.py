@@ -77,6 +77,9 @@ def _cmd_summary(args: argparse.Namespace) -> int:
         span_ns, spans, other = cells[(tid, name)]
         track = names.get(tid, str(tid))
         print(f"{track:>14s}  {name:28s} {span_ns / 1e3:12.2f} {spans:8d} {other:8d}")
+    dropped = doc.get("otherData", {}).get("dropped_events", 0)
+    if dropped:
+        print(f"dropped {dropped} events (not in the totals above)")
     metrics = doc.get("otherData", {}).get("metrics")
     if metrics and metrics.get("histograms"):
         print()

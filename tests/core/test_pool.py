@@ -333,8 +333,22 @@ class TestDispatchOrder:
         first = order_longest_first(keys)
         second = order_longest_first(list(reversed(keys)))
         assert first == second
-        assert sorted(first, key=run_key_digest) == first  # digest tie-break
+        digest = lambda key: run_key_digest(key, fingerprint="")  # noqa: E731
+        assert sorted(first, key=digest) == first  # digest tie-break
         assert set(first) == set(keys)
+
+    def test_order_does_not_move_with_the_code_fingerprint(self, monkeypatch):
+        from repro.core import runcache
+
+        keys = fig4_keys()
+        orders = []
+        for fingerprint in ("a" * 64, "b" * 64):
+            monkeypatch.setattr(
+                runcache, "code_fingerprint", lambda fingerprint=fingerprint: fingerprint
+            )
+            assert run_key_digest(keys[0]) != run_key_digest(keys[0], fingerprint="")
+            orders.append(order_longest_first(keys))
+        assert orders[0] == orders[1]
 
     def test_observed_long_runs_dispatch_first(self):
         from repro.core.runcache import cost_model

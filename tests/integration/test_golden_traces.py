@@ -12,11 +12,11 @@ rendering plus its run, event and drop counts:
 * ``cli_trace`` — the ``traceEvents`` of ``hiss-experiments fig4
   --quick --horizon-ms 2 --trace`` at ``--jobs 1``, hashed as each tid's
   event sequence with tids in ascending order.  Tids come from sorted
-  track names, so they are fixed; the interleaving of runs in the file is
-  not: it follows the order the runs were executed in, and an unobserved
-  cost model breaks longest-first ties on ``run_key_digest``, which folds
-  in the code fingerprint.  Its timestamps are simulated time; it holds
-  no wall-clock field.
+  track names, so they are fixed.  The interleaving of runs in the file
+  follows the order the runs were executed in; an unobserved cost model
+  breaks longest-first ties on the fingerprint-free ``run_key_digest``,
+  so a source edit does not move it, but the cost model's observations
+  do.  Its timestamps are simulated time; it holds no wall-clock field.
 
 A change that only makes tracing cheaper must reproduce every byte.  A
 change that means to move an event regenerates the data, and says why,

@@ -29,9 +29,10 @@ from repro.service.obs import OpsLog, ops_document
 
 SPEC_ARGS = dict(experiments=["fig4"], quick=True, horizon_ms=1.0)
 
-#: No real fig4 --quick serve finishes in 50 ms: a guaranteed breach.
+#: No cold fig4 --quick serve finishes in 2.25 ms, the top of the e2e
+#: bucket holding 2 ms: a guaranteed breach on any host.
 TIGHT = SloSpec(name="e2e-tight", kind="latency", metric="e2e_s",
-                percentile=99, threshold_s=0.05)
+                percentile=99, threshold_s=0.002)
 
 
 @pytest.fixture(autouse=True)

@@ -7,6 +7,7 @@ bounded-queue 429 + ``Retry-After``, QoS back-off under a burst, graceful
 drain, and byte-for-byte equality with the CLI's ``--json`` output.
 """
 
+import http.client
 import json
 import os
 import subprocess
@@ -305,6 +306,24 @@ class TestApiSurface:
             # The connection survived; the server still answers.
             assert client.health()["status"] == "ok"
             assert client.metrics()["counters"]["service.http.errors"] == 1
+
+    def test_kept_alive_connection_does_not_stall(self):
+        # Headers and body leave in two writes; with Nagle's algorithm on,
+        # each reply on a reused connection waited ~40 ms for the client's
+        # delayed ACK (20 GETs took about 0.9 s).
+        with service() as (svc, _client):
+            connection = http.client.HTTPConnection(svc.host, svc.port, timeout=10)
+            try:
+                begin = time.perf_counter()
+                for _ in range(20):
+                    connection.request("GET", "/healthz")
+                    response = connection.getresponse()
+                    assert response.status == 200
+                    assert json.loads(response.read())["status"] == "ok"
+                elapsed_s = time.perf_counter() - begin
+            finally:
+                connection.close()
+        assert elapsed_s < 0.4
 
     def test_jobs_listing(self):
         with service() as (svc, client):

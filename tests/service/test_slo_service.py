@@ -31,11 +31,13 @@ from repro.telemetry.export import METRICS_TEXT_CONTENT_TYPE
 #: Small but parallelizable: fig4 --quick at 1 ms plans 8 unique runs.
 SPEC_ARGS = dict(experiments=["fig4"], quick=True, horizon_ms=1.0)
 
-#: A cold fig4 --quick serve takes well over 50 ms end to end, so this
-#: threshold is a guaranteed "tail regression" without any fault
-#: injection; the loose spec is one no real serve can breach.
+#: A guaranteed "tail regression" without any fault injection: the
+#: ``service.job.e2e_s`` bucket holding 2 ms spans (1.5, 2.25] ms, and a
+#: cold fig4 --quick serve (planning plus 8 simulated runs) takes far
+#: longer on any host, so its e2e counts wholly as bad.  The loose spec is
+#: one no real serve can breach.
 TIGHT = SloSpec(name="e2e-tight", kind="latency", metric="e2e_s",
-                percentile=99, threshold_s=0.05)
+                percentile=99, threshold_s=0.002)
 LOOSE = SloSpec(name="e2e-loose", kind="latency", metric="e2e_s",
                 percentile=99, threshold_s=600.0)
 
