@@ -2,13 +2,19 @@
 
 Before a served job is queued, ``HissService.submit_document`` plans its
 spec, digests the planned run keys into its dedupe key and looks every
-key up in the run cache, whether or not its runs are cached.  This times
-that path for the five-figure menu once all 56 of its runs are in the
-memo — run with
+key up in the run cache, whether or not its runs are cached.  Planning
+runs a figure's harness only the first time its grid is seen; later
+specs reuse that figure's memoized keys.  With all 56 runs of the
+five-figure menu in the memo, this times that path for the menu itself
+(a repeat of the warm-up) and for an ordered subset submitted for the
+first time after the menu was planned — what three quarters of
+``perfbench``'s serve jobs are.  Run with
 ``PYTHONPATH=src python -m pytest benchmarks/test_bench_submit.py``.
 """
 
-from repro.core import clear_cache
+import pytest
+
+from repro.core import clear_cache, planner
 from repro.core.experiment import cache_lookup, cache_store, simulate_run
 from repro.experiments.common import REGISTRY
 from repro.service.jobs import JobSpec
@@ -16,6 +22,21 @@ from repro.service.scheduler import dedupe_key_for, plan_spec
 
 #: The figure menu ``perfbench``'s serve workload draws its jobs from.
 MENU = ["fig3a", "fig3b", "fig4", "fig5", "ipi"]
+#: An ordered subset of the menu that no earlier submission asked for.
+SUBSET = ["ipi", "fig3b", "fig4"]
+
+
+def spec_of(experiments):
+    return JobSpec.from_document(
+        {"experiments": experiments, "quick": True, "horizon_ms": 5}, REGISTRY
+    )
+
+
+def fresh_plan(spec):
+    """The spec's run keys, planned with an empty plan memo."""
+    planner._PLANNED.clear()
+    keys, _serial = plan_spec(spec)
+    return keys
 
 
 def submit(spec):
@@ -26,17 +47,29 @@ def submit(spec):
     return len(keys), dedupe_key, cached
 
 
-def test_cached_menu_submission(benchmark):
-    spec = JobSpec.from_document(
-        {"experiments": MENU, "quick": True, "horizon_ms": 5}, REGISTRY
-    )
+@pytest.fixture
+def menu():
+    """The menu's spec, planned afresh, with every one of its runs cached."""
+    spec = spec_of(MENU)
     clear_cache()
     try:
-        keys, _serial = plan_spec(spec)
-        for key in keys:
+        for key in fresh_plan(spec):
             cache_store(key, simulate_run(key))
-        first = submit(spec)
-        assert first[0] == 56 and first[2]
-        assert benchmark(submit, spec) == first
+        yield spec
     finally:
         clear_cache()
+
+
+def test_cached_menu_submission(benchmark, menu):
+    first = submit(menu)
+    assert first[0] == 56 and first[2]
+    assert benchmark(submit, menu) == first
+
+
+def test_new_subset_after_the_menu(benchmark, menu):
+    spec = spec_of(SUBSET)
+    expected = fresh_plan(spec)
+    plan_spec(menu)  # the warm-up submission plans the whole menu
+    assert plan_spec(spec)[0] == expected
+    result = benchmark(submit, spec)
+    assert result == (len(expected), dedupe_key_for(spec, expected), True)

@@ -7,8 +7,10 @@ serial sweep into a three-phase pipeline:
 1. **Plan** — run each experiment harness in *planning mode* (see
    :func:`repro.core.experiment.planning`): ``run_workloads`` records the
    run keys it would need and returns placeholders, so planning costs
-   milliseconds.  Keys are deduplicated across experiments — most figures
-   share baselines.
+   milliseconds.  A harness's keys depend only on the harness and its
+   grid, so each ``(harness, kwargs)`` is planned once per process and
+   later plans reuse its keys.  Keys are deduplicated across experiments
+   — most figures share baselines.
 2. **Execute** — the unique, not-yet-cached keys are dispatched
    longest-predicted-first (see
    :class:`~repro.core.runcache.CostModel`), in-process at ``jobs == 1``
@@ -34,7 +36,9 @@ from __future__ import annotations
 import os
 import time
 import traceback
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import experiment as _experiment
@@ -43,6 +47,14 @@ from .runcache import RunKey, cost_model
 
 #: Events a ``--trace`` run keeps (its first ones; the rest are counted).
 WORKER_TRACE_CAPACITY = 200_000
+
+#: Grids whose planned keys are remembered.  Bounded like
+#: ``run_key_digest``'s memo: served jobs choose their ``horizon_ms``.
+PLAN_MEMO_SIZE = 256
+
+#: ``(harness, kwargs)`` -> its planned keys in stable order, least
+#: recently used first.
+_PLANNED: "OrderedDict[tuple, Tuple[RunKey, ...]]" = OrderedDict()
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -99,6 +111,49 @@ class PrewarmReport:
         return line
 
 
+def _stable_order(key: RunKey) -> tuple:
+    # Sets iterate in a hash-seed-dependent order; sort on a stable
+    # rendering so the dispatch order (not the results — those are
+    # order-independent) is reproducible too.
+    return (key[0] or "", key[1] or "", key[2], key[4], key[3].stable_json())
+
+
+@lru_cache(maxsize=4096)
+def _interned(key: RunKey) -> RunKey:
+    """The first planned key equal to ``key``.
+
+    Figures share runs (fig3a and fig3b plan the same SSR pairs); one
+    object per run lets every later set, memo and digest lookup of it hit
+    by identity instead of comparing configs field by field.
+    """
+    return key
+
+
+def _planned_keys(harness: Callable, kwargs: Dict[str, Any]) -> Tuple[RunKey, ...]:
+    """The keys ``harness(**kwargs)`` runs, planned the first time only.
+
+    The memo is keyed by the function object, so a harness registered
+    anew is planned anew; a harness that raises is not remembered.
+    """
+    grid = tuple(sorted(
+        (name, tuple(value) if isinstance(value, list) else value)
+        for name, value in kwargs.items()
+    ))
+    memo_key = (harness, grid)
+    keys = _PLANNED.get(memo_key)
+    if keys is not None:
+        _PLANNED.move_to_end(memo_key)
+        return keys
+    with _experiment.planning() as collected:
+        harness(**kwargs)
+    keys = _PLANNED[memo_key] = tuple(
+        _interned(key) for key in sorted(collected, key=_stable_order)
+    )
+    if len(_PLANNED) > PLAN_MEMO_SIZE:
+        _PLANNED.popitem(last=False)
+    return keys
+
+
 def plan_runs(
     experiment_ids: Sequence[str], kwargs_for: Callable[[str], Dict[str, Any]]
 ) -> Tuple[List[RunKey], List[str]]:
@@ -108,6 +163,8 @@ def plan_runs(
     later be run with — planning must see the same grid the real run will.
     Serial-only experiments (``UNPLANNABLE``: those that simulate outside
     ``run_workloads``, e.g. ``table1``) are skipped and reported back.
+    Not reentrant (planning mode is process-global): concurrent callers
+    serialize around it, as the service's ``_PLAN_LOCK`` does.
     """
     from ..experiments.common import REGISTRY, UNPLANNABLE  # lazy: avoid cycle
 
@@ -118,15 +175,7 @@ def plan_runs(
         if experiment_id in UNPLANNABLE:
             skipped.append(experiment_id)
             continue
-        with _experiment.planning() as collected:
-            REGISTRY[experiment_id](**kwargs_for(experiment_id))
-        # Sets iterate in a hash-seed-dependent order; sort on a stable
-        # rendering so the dispatch order (not the results — those are
-        # order-independent) is reproducible too.
-        stable = lambda key: (  # noqa: E731
-            key[0] or "", key[1] or "", key[2], key[4], key[3].stable_json()
-        )
-        for key in sorted(collected, key=stable):
+        for key in _planned_keys(REGISTRY[experiment_id], kwargs_for(experiment_id)):
             if key not in seen:
                 seen.add(key)
                 ordered.append(key)

@@ -20,8 +20,9 @@ import itertools
 import json
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..core.runcache import RunKey
 from ..telemetry.spans import new_trace_id
@@ -209,6 +210,9 @@ class JobStore:
         self._lock = threading.RLock()
         self._jobs: Dict[str, Job] = {}
         self._by_dedupe: Dict[str, str] = {}
+        #: ``(finished_s, job id)`` of terminal jobs, in finish order: TTL
+        #: expiry pops from the front and never walks the retained jobs.
+        self._finished: Deque[Tuple[float, str]] = deque()
         self._seq = itertools.count(1)
         self.evicted = 0
 
@@ -280,6 +284,12 @@ class JobStore:
                 counts[job.state] = counts.get(job.state, 0) + 1
             return counts
 
+    def note_finished(self, job: Job) -> None:
+        """Queue ``job``, just made terminal, for expiry ``ttl_s`` after
+        its ``finished_s``."""
+        with self._lock:
+            self._finished.append((job.finished_s, job.id))
+
     def evict(self, job_id: str) -> bool:
         """Forcibly remove one job (any state); returns whether it existed."""
         with self._lock:
@@ -299,16 +309,14 @@ class JobStore:
         if self.ttl_s is None or self.ttl_s <= 0:
             return 0
         now = self._clock()
-        expired = [
-            job.id
-            for job in self._jobs.values()
-            if job.state in TERMINAL_STATES
-            and job.finished_s is not None
-            and now - job.finished_s > self.ttl_s
-        ]
-        for job_id in expired:
-            job = self._jobs.pop(job_id)
+        expired = 0
+        while self._finished and now - self._finished[0][0] > self.ttl_s:
+            _finished_s, job_id = self._finished.popleft()
+            job = self._jobs.pop(job_id, None)
+            if job is None:  # a DELETE already removed it
+                continue
             if self._by_dedupe.get(job.dedupe_key) == job_id:
                 del self._by_dedupe[job.dedupe_key]
-        self.evicted += len(expired)
-        return len(expired)
+            expired += 1
+        self.evicted += expired
+        return expired

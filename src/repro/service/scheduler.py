@@ -62,9 +62,11 @@ TRACE_EVENTS_PER_RUN = 4000
 def plan_spec(spec) -> Tuple[List[RunKey], List[str]]:
     """Plan a job spec into ``(ordered run keys, serial-only experiments)``.
 
-    Costs milliseconds (planning mode never simulates), so the submission
-    path can afford it per request — it is what makes RunKey-level dedupe
-    and the warm-cache fast path possible before a job is even queued.
+    A figure seen before with the same grid options costs a memo lookup;
+    one seen for the first time runs its harness in planning mode, a few
+    milliseconds that never simulate.  Either way the submission path can
+    afford it per request — it is what makes RunKey-level dedupe and the
+    warm-cache fast path possible before a job is even queued.
     """
     from ..experiments.run_all import experiment_kwargs
 
@@ -209,6 +211,7 @@ class JobScheduler:
         job.state = state
         job.error = error
         job.finished_s = self._clock()
+        self.store.note_finished(job)
         counter = {
             DONE: "service.jobs.completed",
             FAILED: "service.jobs.failed",

@@ -16,9 +16,11 @@ from repro.core import (
     run_workloads,
     set_disk_cache,
 )
+from repro.core import experiment, planner
 from repro.core.experiment import _CACHE
 from repro.experiments import run_experiment
-from repro.experiments.common import UNPLANNABLE
+from repro.experiments.common import REGISTRY, UNPLANNABLE
+from repro.experiments.run_all import DEFAULT_ORDER, EXTENSION_ORDER, experiment_kwargs
 
 #: Short horizon + tiny grids keep every test here in seconds.
 HORIZON = 1_000_000
@@ -97,6 +99,77 @@ class TestPlanning:
         first, _ = plan_runs(["fig4"], kwargs_for)
         second, _ = plan_runs(["fig4"], kwargs_for)
         assert first == second
+
+
+def quick_grid(experiment_id: str) -> dict:
+    return experiment_kwargs(experiment_id, quick=True, horizon_ms=5)
+
+
+def refuse_planning():
+    raise AssertionError("a memo hit ran a harness")
+
+
+class TestPlanMemo:
+    @pytest.mark.parametrize(
+        "experiment_id",
+        [e for e in DEFAULT_ORDER + EXTENSION_ORDER if e not in UNPLANNABLE],
+    )
+    def test_memo_hit_equals_a_fresh_plan(self, experiment_id, monkeypatch):
+        planner._PLANNED.clear()
+        fresh, _ = plan_runs([experiment_id], quick_grid)
+        monkeypatch.setattr(experiment, "planning", refuse_planning)
+        hit, _ = plan_runs([experiment_id], quick_grid)
+        assert hit == fresh  # the same keys in the same order
+        assert len(set(hit)) == len(hit) > 0
+
+    def test_mutating_a_plan_leaves_the_next_one_alone(self):
+        keys, _ = plan_runs(["fig3a", "fig4"], kwargs_for)
+        expected = list(keys)
+        keys.reverse()
+        keys.pop()
+        again, _ = plan_runs(["fig3a", "fig4"], kwargs_for)
+        assert again == expected and again is not keys
+
+    def test_a_swapped_harness_is_planned_anew(self, monkeypatch):
+        plan_runs(["fig4"], kwargs_for)
+
+        def swapped(gpu_names, horizon_ns):
+            run_workloads(None, gpu_names[0], True, None, horizon_ns)
+
+        monkeypatch.setitem(REGISTRY, "fig4", swapped)
+        keys, _ = plan_runs(["fig4"], kwargs_for)
+        assert keys == [make_run_key(None, GPUS[0], True, SystemConfig(), HORIZON)]
+
+    def test_a_harness_that_raised_is_not_remembered(self, monkeypatch):
+        attempts = []
+
+        def broken(**kwargs):
+            attempts.append(kwargs)
+            raise RuntimeError("bad grid")
+
+        monkeypatch.setitem(REGISTRY, "fig4", broken)
+        for _ in range(2):
+            with pytest.raises(RuntimeError):
+                plan_runs(["fig4"], kwargs_for)
+        assert len(attempts) == 2
+
+    def test_the_memo_stays_at_its_bound(self, monkeypatch):
+        planned = []
+
+        def tiny(horizon_ns):
+            planned.append(horizon_ns)
+            run_workloads(None, "bfs", True, None, horizon_ns)
+
+        monkeypatch.setitem(REGISTRY, "fig4", tiny)
+        grids = range(1, planner.PLAN_MEMO_SIZE + 11)
+        for horizon_ns in grids:
+            plan_runs(["fig4"], lambda _eid: {"horizon_ns": horizon_ns})
+        assert len(planner._PLANNED) == planner.PLAN_MEMO_SIZE
+        # The newest grid is still remembered; the oldest is planned anew.
+        plan_runs(["fig4"], lambda _eid: {"horizon_ns": grids[-1]})
+        plan_runs(["fig4"], lambda _eid: {"horizon_ns": grids[0]})
+        assert planned == list(grids) + [grids[0]]
+        assert len(planner._PLANNED) == planner.PLAN_MEMO_SIZE
 
 
 class TestExecution:

@@ -4,7 +4,7 @@ import pytest
 
 import repro.experiments  # noqa: F401 - populates the registry
 from repro.experiments.common import REGISTRY
-from repro.service import BadSpec, DONE, FAILED, JobSpec, JobStore, QUEUED
+from repro.service import BadSpec, DONE, FAILED, Job, JobSpec, JobStore, QUEUED
 
 
 class TestJobSpec:
@@ -54,6 +54,13 @@ def _spec(experiment="fig4"):
     return JobSpec.from_document({"experiment": experiment}, REGISTRY)
 
 
+def _finish(store, job, finished_s):
+    """What the scheduler does when a job reaches a terminal state."""
+    job.state = DONE
+    job.finished_s = finished_s
+    store.note_finished(job)
+
+
 class TestJobStore:
     def test_submit_and_get(self):
         store = JobStore(ttl_s=60)
@@ -94,8 +101,7 @@ class TestJobStore:
         store = JobStore(ttl_s=10, clock=lambda: clock[0])
         done, _ = store.submit(_spec("fig4"), "k1", [], [], _admit_all)
         queued, _ = store.submit(_spec("fig3a"), "k2", [], [], _admit_all)
-        done.state = DONE
-        done.finished_s = 100.0
+        _finish(store, done, 100.0)
         clock[0] = 111.0
         assert store.get(done.id) is None
         assert store.get(queued.id) is queued
@@ -103,6 +109,55 @@ class TestJobStore:
         # The dedupe key died with the job: same work creates a fresh job.
         fresh, deduped = store.submit(_spec("fig4"), "k1", [], [], _admit_all)
         assert not deduped and fresh.id != done.id
+
+    def test_jobs_expire_in_finish_order_at_exactly_ttl(self):
+        clock = [0.0]
+        store = JobStore(ttl_s=10, clock=lambda: clock[0])
+        jobs = [
+            store.submit(_spec(), f"k{index}", [], [], _admit_all)[0]
+            for index in range(3)
+        ]
+        for index, job in enumerate(jobs):
+            _finish(store, job, float(index))
+        clock[0] = 10.0  # the first job is exactly ttl_s old: it stays
+        assert store.evict_expired() == 0
+        clock[0] = 10.5
+        assert store.evict_expired() == 1
+        assert store.get(jobs[0].id) is None
+        assert [job.id for job in store.jobs()] == [jobs[1].id, jobs[2].id]
+        # An id a DELETE already removed is skipped, not counted twice.
+        assert store.evict(jobs[1].id)
+        clock[0] = 12.5
+        assert store.evict_expired() == 1
+        assert store.jobs() == [] and store.evicted == 3
+        fresh, deduped = store.submit(_spec(), "k2", [], [], _admit_all)
+        assert not deduped and fresh.id != jobs[2].id
+
+    def test_get_examines_no_retained_job(self, monkeypatch):
+        clock = [0.0]
+        store = JobStore(ttl_s=900, clock=lambda: clock[0])
+        jobs = [
+            store.submit(_spec(), f"k{index}", [], [], _admit_all)[0]
+            for index in range(9000)
+        ]
+        for job in jobs:
+            _finish(store, job, clock[0])
+        first_id = jobs[0].id
+        clock[0] = 899.0
+        reads = []
+        real_getattribute = Job.__getattribute__
+
+        def counting(job, name):
+            reads.append(name)
+            return real_getattribute(job, name)
+
+        monkeypatch.setattr(Job, "__getattribute__", counting)
+        found = store.get(first_id)
+        expired = store.evict_expired()
+        monkeypatch.undo()
+        # 9,000 finished jobs, none expired: expiry reads no job at all.
+        assert found is jobs[0] and expired == 0
+        assert reads == []
 
     def test_explicit_evict(self):
         store = JobStore(ttl_s=60)

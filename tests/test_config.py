@@ -120,13 +120,16 @@ class TestRenderAndHashOnce:
         rendered = SystemConfig().stable_json().encode("utf-8")
         assert hashlib.sha256(rendered).hexdigest() == DEFAULT_JSON_SHA256
 
-    def test_replanning_renders_no_config_and_hashes_each_once(self, monkeypatch):
-        from repro.core import runcache
+    def test_replanning_calls_no_harness_and_builds_no_config(self, monkeypatch):
+        from repro.core import experiment, runcache
 
         submit_menu()
         built, field_hashes, rendered = [], [], []
         real_init, real_hash = SystemConfig.__init__, MitigationConfig.__hash__
         real_asdict = dataclasses.asdict
+
+        def refuse_planning():
+            raise AssertionError("re-planning ran a harness")
 
         def recording_init(self, *args, **kwargs):
             real_init(self, *args, **kwargs)
@@ -141,17 +144,16 @@ class TestRenderAndHashOnce:
             rendered.append(type(obj).__name__)
             return real_asdict(obj, *args, **kwargs)
 
+        monkeypatch.setattr(experiment, "planning", refuse_planning)
         monkeypatch.setattr(SystemConfig, "__init__", recording_init)
         monkeypatch.setattr(MitigationConfig, "__hash__", counting_hash)
         monkeypatch.setattr(dataclasses, "asdict", recording_asdict)
         monkeypatch.setattr(runcache, "asdict", recording_asdict)
         keys = submit_menu()
         assert len(keys) == 56
-        assert "SystemConfig" not in rendered
-        # Planning builds fresh but equal configs; each hashes its fields
-        # once however many lookups, sorts and digests its keys go through.
-        assert built
-        assert 0 < len(field_hashes) <= len(built)
+        # Each figure's keys come from the plan memo: no harness runs, so
+        # no config is built, rendered or hashed anew.
+        assert built == [] and rendered == [] and field_hashes == []
 
     def test_cached_hash_stays_out_of_pickled_and_copied_state(self):
         config = steered()
