@@ -1,4 +1,4 @@
-"""Benchmark: the host work of one fully cached submission.
+"""Benchmark: the host work of one fully cached job, submission and render.
 
 Before a served job is queued, ``HissService.submit_document`` plans its
 spec, digests the planned run keys into its dedupe key and looks every
@@ -8,15 +8,25 @@ specs reuse that figure's memoized keys.  With all 56 runs of the
 five-figure menu in the memo, this times that path for the menu itself
 (a repeat of the warm-up) and for an ordered subset submitted for the
 first time after the menu was planned — what three quarters of
-``perfbench``'s serve jobs are.  Run with
+``perfbench``'s serve jobs are.
+
+Once the job's batch has found every run cached, the scheduler's render
+step assembles each figure's result document, and a figure's harness
+assembles its grid only the first time (``render_result``).
+``test_cached_menu_render`` times that step for the menu with the memo
+warm and checks the documents against a fresh replay.  Run with
 ``PYTHONPATH=src python -m pytest benchmarks/test_bench_submit.py``.
 """
+
+import json
 
 import pytest
 
 from repro.core import clear_cache, planner
 from repro.core.experiment import cache_lookup, cache_store, simulate_run
-from repro.experiments.common import REGISTRY
+from repro.core.planner import render_result
+from repro.experiments.common import REGISTRY, run_experiment
+from repro.experiments.run_all import experiment_kwargs
 from repro.service.jobs import JobSpec
 from repro.service.scheduler import dedupe_key_for, plan_spec
 
@@ -47,6 +57,22 @@ def submit(spec):
     return len(keys), dedupe_key, cached
 
 
+def render(spec):
+    """What the render step assembles for a job of ``spec``, minus the lock."""
+    return [
+        render_result(
+            experiment_id,
+            experiment_kwargs(experiment_id, quick=spec.quick, horizon_ms=spec.horizon_ms),
+        )
+        for experiment_id in spec.experiments
+    ]
+
+
+def canonical(document):
+    """A result document without its wall-clock stamp."""
+    return json.dumps(dict(document, elapsed_s=0.0), sort_keys=True)
+
+
 @pytest.fixture
 def menu():
     """The menu's spec, planned afresh, with every one of its runs cached."""
@@ -73,3 +99,16 @@ def test_new_subset_after_the_menu(benchmark, menu):
     assert plan_spec(spec)[0] == expected
     result = benchmark(submit, spec)
     assert result == (len(expected), dedupe_key_for(spec, expected), True)
+
+
+def test_cached_menu_render(benchmark, menu):
+    fresh = [
+        run_experiment(
+            experiment_id,
+            **experiment_kwargs(experiment_id, quick=menu.quick, horizon_ms=menu.horizon_ms),
+        ).as_dict()
+        for experiment_id in MENU
+    ]
+    render(menu)  # the warm-up job assembles every figure once
+    documents = benchmark(render, menu)
+    assert [canonical(d) for d in documents] == [canonical(d) for d in fresh]

@@ -52,11 +52,15 @@ _PLANNING: Optional[Set[RunKey]] = None
 
 
 def clear_cache() -> None:
-    """Drop memoized runs (tests use this to force re-execution).
+    """Drop memoized runs and the result documents assembled from them
+    (tests use this to force re-execution).
 
     Only the in-memory level is dropped; on-disk entries stay valid.
     """
+    from .planner import _RENDERED  # lazy: the planner imports this module
+
     _CACHE.clear()
+    _RENDERED.clear()
 
 
 def set_disk_cache(cache: Optional[DiskCache]) -> None:

@@ -112,7 +112,9 @@ class System:
                 name=app.profile.name,
                 instructions=app.instructions_retired,
                 productive_ns=app.productive_ns,
-                pollution_stall_ns=sum(t.pollution_stall_ns for t in app.threads),
+                pollution_stall_ns=acct.ordered_sum(
+                    t.pollution_stall_ns for t in app.threads
+                ),
                 extra_l1_misses=app.extra_l1_misses,
                 extra_mispredicts=app.extra_mispredicts,
                 l1_miss_increase=app.l1_miss_increase(),

@@ -31,9 +31,13 @@ PROG = "hiss-postmortem"
 
 def _cmd_list(args: argparse.Namespace) -> int:
     if args.url:
-        from ..service.client import ServiceClient
+        from ..service.client import TRANSPORT_ERRORS, ServiceClient, ServiceError
 
-        body = ServiceClient(args.url).postmortems()
+        try:
+            body = ServiceClient(args.url).postmortems()
+        except (ServiceError, *TRANSPORT_ERRORS) as error:
+            print(f"{PROG}: error: {args.url}: {error}", file=sys.stderr)
+            return 1
         rows = body.get("postmortems", [])
     else:
         rows = list_bundles(args.directory)

@@ -12,7 +12,7 @@ involved in servicing SSRs are updated to account for their CPU cycles").
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 #: Time buckets.
 USER = "user"
@@ -24,6 +24,20 @@ TRANSITION = "transition"  # C-state entry/exit latency
 CC6 = "cc6"  # deep sleep
 
 ALL_MODES = (USER, KERNEL, IRQ, SWITCH, IDLE, TRANSITION, CC6)
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, one rounding per addition.
+
+    Python 3.12 made ``sum()`` of floats compensate its rounding, so the
+    builtin gives the same run different last bits on different
+    interpreters; this gives every interpreter the bits ``sum()`` gave
+    before 3.12.  The float totals that feed ``SystemMetrics`` use it.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 class TimeAccounting:
@@ -52,17 +66,17 @@ class TimeAccounting:
 
     def core_total(self, core_id: int) -> int:
         self._check_core(core_id)
-        return sum(self._buckets[core_id].values())
+        return ordered_sum(self._buckets[core_id].values())
 
     def core_mode(self, core_id: int, mode: str) -> int:
         self._check_core(core_id)
         return self._buckets[core_id][mode]
 
     def total(self, mode: str) -> int:
-        return sum(bucket[mode] for bucket in self._buckets)
+        return ordered_sum(bucket[mode] for bucket in self._buckets)
 
     def grand_total(self) -> int:
-        return sum(self.core_total(c) for c in range(self.num_cores))
+        return ordered_sum(self.core_total(c) for c in range(self.num_cores))
 
     def residency(self, mode: str, horizon_ns: int) -> float:
         """Fraction of all core-time spent in ``mode`` over ``horizon_ns``."""

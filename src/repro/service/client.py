@@ -7,6 +7,11 @@ hint* and retries after the advertised delay instead of hammering, which
 is exactly how the bounded-queue + back-off pair converts overload into
 latency rather than collapse.
 
+Each thread keeps one HTTP/1.1 connection to the daemon and sends every
+call over it, so a call pays connection set-up (and the daemon a new
+handler thread) once, not per request — the paper's mitigations make the
+same trade for a request's fixed host costs.
+
 CLI::
 
     hiss-client --url http://host:port submit fig4 --quick --wait
@@ -26,11 +31,12 @@ with ``hiss-report render profile.json -o report.html``.
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import sys
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["ServiceClient", "ServiceError", "ServiceRejected", "main"]
@@ -40,6 +46,11 @@ DEFAULT_URL = "http://127.0.0.1:8171"
 #: Mirrors ``repro.service.server.TRACE_HEADER`` (kept literal: the client
 #: must work against a remote daemon without importing server code).
 TRACE_HEADER = "X-Hiss-Trace-Id"
+
+#: What an unreachable or misbehaving daemon raises besides
+#: :class:`ServiceError`: a refused or reset connection, a timeout, a
+#: reply that is not HTTP.  The CLIs turn these into one error line.
+TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 
 def _body_trace_id(body: Any) -> Optional[str]:
@@ -79,6 +90,17 @@ class ServiceClient:
     def __init__(self, base_url: str = DEFAULT_URL, timeout_s: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme not in ("http", "https"):
+            raise ValueError(f"unsupported URL {base_url!r}: want http:// or https://")
+        self._connection_class = (
+            http.client.HTTPSConnection if url.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc = url.netloc
+        self._path_prefix = url.path
+        #: Each thread's connection: threads never interleave on a socket.
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # Transport
@@ -98,24 +120,57 @@ class ServiceClient:
             all_headers["Content-Type"] = "application/json"
         if headers:
             all_headers.update(headers)
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=all_headers, method=method
-        )
         timeout = self.timeout_s if timeout_s is None else timeout_s
+        status, response_headers, raw = self._exchange(
+            method, self._path_prefix + path, data, all_headers, timeout
+        )
+        parsed = _parse(raw)
+        if 200 <= status < 300:
+            return status, response_headers, parsed
+        if status == 429:
+            retry_after = float(
+                response_headers.get("Retry-After")
+                or (parsed or {}).get("retry_after_s", 1.0)
+            )
+            raise ServiceRejected(status, parsed, retry_after)
+        raise ServiceError(status, parsed)
+
+    def _exchange(
+        self, method: str, target: str, data: Optional[bytes],
+        headers: Dict[str, str], timeout: float,
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        """One request and its whole reply over this thread's connection.
+
+        A kept-alive connection the server has since closed fails before
+        any status line (``RemoteDisconnected`` is a
+        ``ConnectionResetError``); the request is then sent once more on a
+        fresh connection.  A fresh connection that fails raises.
+        """
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connection_class(
+                self._netloc, timeout=timeout
+            )
+        reused = connection.sock is not None
+        if connection.timeout != timeout:
+            connection.timeout = timeout
+            if reused:
+                connection.sock.settimeout(timeout)
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                raw = response.read()
-                return response.status, dict(response.headers), _parse(raw)
-        except urllib.error.HTTPError as error:
-            raw = error.read()
-            parsed = _parse(raw)
-            if error.code == 429:
-                retry_after = float(
-                    error.headers.get("Retry-After")
-                    or (parsed or {}).get("retry_after_s", 1.0)
-                )
-                raise ServiceRejected(error.code, parsed, retry_after) from None
-            raise ServiceError(error.code, parsed) from None
+            try:
+                connection.request(method, target, body=data, headers=headers)
+                response = connection.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                if not reused:
+                    raise
+                connection.close()
+                connection.request(method, target, body=data, headers=headers)
+                response = connection.getresponse()
+            return response.status, dict(response.headers), response.read()
+        except BaseException:
+            # A half-done exchange leaves the connection unusable.
+            connection.close()
+            raise
 
     def _get(self, path: str, timeout_s: Optional[float] = None) -> Any:
         _status, _headers, parsed = self._request("GET", path, timeout_s=timeout_s)
@@ -433,7 +488,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (ServiceError, TimeoutError, urllib.error.URLError) as error:
+    except (ServiceError, *TRANSPORT_ERRORS) as error:
+        # TimeoutError (``--wait`` ran out) is an OSError too.
         print(f"error: {error}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,10 @@ is served exactly the way ``hiss-experiments`` serves a CLI invocation:
    so a served result is bit-for-bit the CLI's result, and the second
    batch of a daemon's life spawns zero new processes;
 3. each job then *replays* its experiments (all ``run_workloads`` calls
-   are now cache hits) to assemble its tables.
+   are now cache hits) to assemble its tables, through
+   :func:`repro.core.planner.render_result`: a figure's grid is
+   assembled by its harness once, and later jobs of that grid get the
+   stored result document.
 
 Batching means ten queued jobs that share baselines — most do — cost one
 simulation pass, and a fully warm job completes without simulating at
@@ -40,6 +43,7 @@ from ..core import experiment as _experiment
 from ..core.planner import (
     execute_runs,
     plan_runs,
+    render_result,
     resolve_jobs,
     run_label,
 )
@@ -302,7 +306,6 @@ class JobScheduler:
         )
         failed_keys = {key: error for key, error in report.failed}
 
-        from ..experiments.common import run_experiment
         from ..experiments.run_all import experiment_kwargs
 
         for job in jobs:
@@ -331,10 +334,10 @@ class JobScheduler:
                 continue
             try:
                 with _PLAN_LOCK:
-                    results = [
-                        run_experiment(
+                    job.results = [
+                        render_result(
                             experiment_id,
-                            **experiment_kwargs(
+                            experiment_kwargs(
                                 experiment_id,
                                 quick=job.spec.quick,
                                 horizon_ms=job.spec.horizon_ms,
@@ -345,7 +348,6 @@ class JobScheduler:
             except Exception:
                 self._finish(job, FAILED, error=traceback.format_exc(limit=20))
                 continue
-            job.results = [result.as_dict() for result in results]
             self._finish(job, DONE)
         self.admission.note_service_time((time.monotonic() - started) / len(jobs))
 

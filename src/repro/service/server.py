@@ -36,17 +36,21 @@
                                       ``?format=text``)
 ====================================  =========================================
 
-Request handling is thread-per-connection; everything the handlers touch
-is either lock-protected (store, admission, governor, disk-cache stats)
-or create-once (the registry).  Submissions plan on the request thread —
-milliseconds — so dedupe and rejection happen *before* any queue state
-is consumed, the same "refuse early, at the boundary" shape the paper
-argues for in the IOMMU's bounded PPR queue.
+Request handling is thread-per-connection, and connections are kept
+alive (HTTP/1.1) until the service drains: from then on every reply
+carries ``Connection: close``, and ``stop()`` ends the connections that
+stay idle, so no handler thread outlives the service.  Everything the
+handlers touch is either lock-protected (store, admission, governor,
+disk-cache stats) or create-once (the registry).  Submissions plan on
+the request thread — milliseconds — so dedupe and rejection happen
+*before* any queue state is consumed, the same "refuse early, at the
+boundary" shape the paper argues for in the IOMMU's bounded PPR queue.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import traceback
@@ -181,6 +185,10 @@ class HissService:
         self._backoff_lock = threading.Lock()
         self._backoff_rounds: "OrderedDict[str, list]" = OrderedDict()
         self._draining = False
+        #: Open client connections, so ``stop()`` can end them; notified
+        #: as each one's handler finishes.
+        self._connections_changed = threading.Condition()
+        self._connections: set = set()
         self._started_s = time.time()
         self._serve_thread: Optional[threading.Thread] = None
         self.httpd = ThreadingHTTPServer((host, port), _Handler)
@@ -236,6 +244,19 @@ class HissService:
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=10)
             self._serve_thread = None
+        # A kept-alive connection's handler waits for the next request;
+        # ending the read side wakes it to a clean end of stream, and a
+        # reply still being written goes out whole.  Waiting for every
+        # handler to finish means no request is answered after stop().
+        with self._connections_changed:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+            self._connections_changed.wait_for(
+                lambda: not self._connections, timeout=10
+            )
         self.httpd.server_close()
 
     def __enter__(self) -> "HissService":
@@ -436,6 +457,19 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> HissService:
         return self.server.service
 
+    def setup(self) -> None:
+        BaseHTTPRequestHandler.setup(self)
+        with self.service._connections_changed:
+            self.service._connections.add(self.connection)
+
+    def finish(self) -> None:
+        try:
+            BaseHTTPRequestHandler.finish(self)
+        finally:
+            with self.service._connections_changed:
+                self.service._connections.discard(self.connection)
+                self.service._connections_changed.notify_all()
+
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.service.verbose:
             BaseHTTPRequestHandler.log_message(self, format, *args)
@@ -478,13 +512,7 @@ class _Handler(BaseHTTPRequestHandler):
         indent: Optional[int] = None,
     ) -> None:
         payload = (json.dumps(body, indent=indent) + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
+        self._send(status, payload, "application/json", headers)
 
     def _send_text(
         self,
@@ -492,10 +520,23 @@ class _Handler(BaseHTTPRequestHandler):
         text: str,
         content_type: str = "text/plain; charset=utf-8",
     ) -> None:
-        payload = text.encode("utf-8")
+        self._send(status, text.encode("utf-8"), content_type)
+
+    def _send(
+        self,
+        status: int,
+        payload: bytes,
+        content_type: str,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        if self.service._draining:
+            # Ends this connection after the reply (send_header sees it).
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import urllib.error
 from typing import Any, Dict, List, Optional
 
-from .client import DEFAULT_URL, ServiceClient, ServiceError
+from .client import DEFAULT_URL, TRANSPORT_ERRORS, ServiceClient, ServiceError
 
 __all__ = ["main", "render_ops"]
 
@@ -270,7 +269,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if use_curses:
             return _run_curses(client, args.interval)
         return _run_plain(client, args.interval)
-    except (ServiceError, urllib.error.URLError, OSError) as error:
+    except (ServiceError, *TRANSPORT_ERRORS) as error:
         print(f"hiss-top: {error}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional, TYPE_CHECKING
 
+from ..oskernel.accounting import ordered_sum
 from ..oskernel.thread import KIND_USER, PRIO_NORMAL, Thread
 from .barrier import Barrier
 from .calibration import SteadyState, steady_state_for
@@ -98,7 +99,7 @@ class CpuApp:
     # ------------------------------------------------------------------
     @property
     def productive_ns(self) -> float:
-        return sum(thread.productive_ns for thread in self.threads)
+        return ordered_sum(thread.productive_ns for thread in self.threads)
 
     @property
     def instructions_retired(self) -> float:
@@ -119,11 +120,11 @@ class CpuApp:
     @property
     def extra_l1_misses(self) -> float:
         """Misses charged to kernel SSR pollution (Fig. 5a numerator)."""
-        return sum(thread.extra_misses for thread in self.threads)
+        return ordered_sum(thread.extra_misses for thread in self.threads)
 
     @property
     def extra_mispredicts(self) -> float:
-        return sum(thread.extra_mispredicts for thread in self.threads)
+        return ordered_sum(thread.extra_mispredicts for thread in self.threads)
 
     #: Counter-noise floor: real hardware never reports a 0% miss or
     #: mispredict rate, so relative-increase ratios use at least this rate

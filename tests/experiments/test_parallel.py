@@ -1,6 +1,7 @@
 """Tests for the parallel experiment engine: planning, fan-out, equivalence."""
 
 import json
+import time
 
 import pytest
 
@@ -18,8 +19,9 @@ from repro.core import (
 )
 from repro.core import experiment, planner
 from repro.core.experiment import _CACHE
+from repro.core.planner import render_result
 from repro.experiments import run_experiment
-from repro.experiments.common import REGISTRY, UNPLANNABLE
+from repro.experiments.common import REGISTRY, UNPLANNABLE, ExperimentResult
 from repro.experiments.run_all import DEFAULT_ORDER, EXTENSION_ORDER, experiment_kwargs
 
 #: Short horizon + tiny grids keep every test here in seconds.
@@ -170,6 +172,105 @@ class TestPlanMemo:
         plan_runs(["fig4"], lambda _eid: {"horizon_ns": grids[0]})
         assert planned == list(grids) + [grids[0]]
         assert len(planner._PLANNED) == planner.PLAN_MEMO_SIZE
+
+
+#: Every experiment the planner can plan (and so the render memo keeps).
+PLANNABLE = [e for e in DEFAULT_ORDER + EXTENSION_ORDER if e not in UNPLANNABLE]
+
+
+def canonical(document: dict) -> str:
+    """A result document without its wall-clock stamp (NaN cells compare)."""
+    return json.dumps(dict(document, elapsed_s=0.0), sort_keys=True)
+
+
+def counted(monkeypatch, experiment_id: str, harness=None) -> list:
+    """Register a wrapper of ``experiment_id``'s harness that logs each call."""
+    calls = []
+    harness = harness or REGISTRY[experiment_id]
+
+    def wrapper(**kwargs):
+        calls.append(kwargs)
+        return harness(**kwargs)
+
+    monkeypatch.setitem(REGISTRY, experiment_id, wrapper)
+    return calls
+
+
+def table(value: float = 1.0, **_grid) -> ExperimentResult:
+    """A stand-in harness's result: one row, no runs."""
+    return ExperimentResult("fig4", "a stand-in", ["label", "value"], [["row", value]])
+
+
+class TestRenderMemo:
+    def test_every_figure_hit_equals_a_fresh_replay_and_runs_no_harness(
+        self, monkeypatch
+    ):
+        prewarm_experiments(PLANNABLE, quick_grid, jobs=2)
+        calls = {e: counted(monkeypatch, e) for e in PLANNABLE}
+        fresh = {e: render_result(e, quick_grid(e)) for e in PLANNABLE}
+        hits = {e: render_result(e, quick_grid(e)) for e in PLANNABLE}
+        for experiment_id in PLANNABLE:
+            assert len(calls[experiment_id]) == 1, experiment_id
+            replay = run_experiment(experiment_id, **quick_grid(experiment_id))
+            assert canonical(fresh[experiment_id]) == canonical(replay.as_dict())
+            assert canonical(hits[experiment_id]) == canonical(replay.as_dict())
+
+    def test_a_hit_is_stamped_with_its_own_wall_time(self, monkeypatch):
+        def slow(**grid):
+            time.sleep(0.05)
+            return table()
+
+        calls = counted(monkeypatch, "fig4", slow)
+        first = render_result("fig4", {"horizon_ns": HORIZON})
+        second = render_result("fig4", {"horizon_ns": HORIZON})
+        assert len(calls) == 1
+        assert 0.0 <= second["elapsed_s"] < 0.05 <= first["elapsed_s"]
+        assert second["rows"] is first["rows"]  # shared, read-only
+
+    def test_a_swapped_harness_is_replayed_anew(self, monkeypatch):
+        monkeypatch.setitem(REGISTRY, "fig4", table)
+        assert render_result("fig4", {"horizon_ns": HORIZON})["rows"] == [["row", 1.0]]
+        monkeypatch.setitem(REGISTRY, "fig4", lambda **grid: table(2.0))
+        assert render_result("fig4", {"horizon_ns": HORIZON})["rows"] == [["row", 2.0]]
+
+    def test_a_harness_that_raised_raises_again(self, monkeypatch):
+        def broken(**kwargs):
+            raise RuntimeError("bad grid")
+
+        calls = counted(monkeypatch, "fig4", broken)
+        for _ in range(2):
+            with pytest.raises(RuntimeError):
+                render_result("fig4", {"horizon_ns": HORIZON})
+        assert len(calls) == 2
+        assert not planner._RENDERED
+
+    def test_clear_cache_drops_the_rendered_documents(self, monkeypatch):
+        calls = counted(monkeypatch, "fig4", table)
+        render_result("fig4", {"horizon_ns": HORIZON})
+        assert planner._RENDERED
+        clear_cache()
+        assert not planner._RENDERED
+        render_result("fig4", {"horizon_ns": HORIZON})
+        assert len(calls) == 2
+
+    def test_serial_only_experiments_always_run(self, monkeypatch):
+        calls = counted(monkeypatch, "table1", table)
+        for _ in range(2):
+            render_result("table1", {})
+        assert len(calls) == 2
+        assert not planner._RENDERED
+
+    def test_the_memo_stays_at_its_bound(self, monkeypatch):
+        calls = counted(monkeypatch, "fig4", table)
+        grids = range(1, planner.PLAN_MEMO_SIZE + 11)
+        for horizon_ns in grids:
+            render_result("fig4", {"horizon_ns": horizon_ns})
+        assert len(planner._RENDERED) == planner.PLAN_MEMO_SIZE
+        # The newest grid is still remembered; the oldest is assembled anew.
+        render_result("fig4", {"horizon_ns": grids[-1]})
+        render_result("fig4", {"horizon_ns": grids[0]})
+        assert [call["horizon_ns"] for call in calls] == list(grids) + [grids[0]]
+        assert len(planner._RENDERED) == planner.PLAN_MEMO_SIZE
 
 
 class TestExecution:

@@ -7,6 +7,7 @@ exit 2 rather than render garbage.
 """
 
 import json
+import socket
 
 import pytest
 
@@ -95,6 +96,17 @@ class TestCliExitCodes:
     def test_list_empty_directory(self, tmp_path, capsys):
         assert main(["list", str(tmp_path)]) == 0
         assert "no postmortem bundles" in capsys.readouterr().out
+
+    def test_list_an_unreachable_daemon_is_one_error_line(self, capsys):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        url = f"http://127.0.0.1:{probe.getsockname()[1]}"
+        probe.close()  # nothing listens there now
+        assert main(["list", "--url", url]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"hiss-postmortem: error: {url}: ")
+        assert err.count("\n") == 1 and "Connection refused" in err
 
 
 class TestRecorderRing:

@@ -116,6 +116,31 @@ class TestEndToEnd:
             # Both served the identical document.
             assert client.result(second["job"]["id"]) is not None
 
+    def test_a_grid_seen_before_renders_without_its_harness(self, monkeypatch):
+        from repro.experiments.common import REGISTRY
+
+        calls = []
+        harness = REGISTRY["fig4"]
+
+        def counted(**kwargs):
+            calls.append(kwargs)
+            return harness(**kwargs)
+
+        monkeypatch.setitem(REGISTRY, "fig4", counted)
+        with service() as (svc, client):
+            first = client.submit(**_spec_args(SPEC))["job"]["id"]
+            client.wait(first, timeout_s=120)
+            served = [client.result(first)]
+            client.evict(first)  # forget the twin, keep the cache and memos
+            second = client.submit(**_spec_args(SPEC))["job"]["id"]
+            doc = client.wait(second, timeout_s=120)
+            assert doc["runs_cached"] == 8 and doc["runs_executed"] == 0
+            served.append(client.result(second))
+        assert len(calls) == 2  # the first job's planning pass and render
+        for result in served:
+            result[0]["elapsed_s"] = 0.0
+        assert served[0] == served[1]
+
     def test_queue_full_yields_429_with_retry_after(self):
         with service(queue_limit=1) as (svc, client):
             svc.scheduler.pause()
