@@ -163,7 +163,7 @@ def record_flight_overhead(events: int = 20_000) -> dict:
     observe/append cost).  The delta is the number
     docs/observability.md quotes as the recorder's always-on overhead.
     """
-    from repro.flight import FlightRecorder, default_triggers
+    from repro.obsd import FlightRecorder, default_triggers
     from repro.service.obs import OpsLog
 
     log = OpsLog(None)

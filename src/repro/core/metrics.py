@@ -6,6 +6,8 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..oskernel.accounting import ordered_sum
+
 
 @dataclass(frozen=True)
 class CpuAppMetrics:
@@ -106,7 +108,7 @@ class SystemMetrics:
         (user/kernel/irq/switch) draw ``active_w``; awake-idle and C-state
         transitions draw ``idle_w``; CC6 draws ``cc6_w``.
         """
-        active = sum(
+        active = ordered_sum(
             self.mode_totals_ns.get(mode, 0.0)
             for mode in ("user", "kernel", "irq", "switch")
         )
@@ -182,4 +184,4 @@ def geomean(values: Sequence[float]) -> float:
     cleaned = [v for v in values if v > 0]
     if not cleaned:
         return 0.0
-    return math.exp(sum(math.log(v) for v in cleaned) / len(cleaned))
+    return math.exp(ordered_sum(math.log(v) for v in cleaned) / len(cleaned))

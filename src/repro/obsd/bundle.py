@@ -191,12 +191,9 @@ def validate_postmortem(document: Any) -> List[str]:
     return problems
 
 
-def list_bundles(directory: str) -> List[Dict[str, Any]]:
-    """Summaries of the ``pm-*.json`` bundles under ``directory``.
-
-    Pure read side — never creates the directory; an absent one is an
-    empty list, matching a daemon that has not captured anything yet.
-    """
+def _bundle_paths(directory: str) -> List[str]:
+    """Bundle paths under ``directory``, oldest first (id order = capture
+    order); an absent directory holds none."""
     try:
         names = sorted(
             name
@@ -205,9 +202,17 @@ def list_bundles(directory: str) -> List[Dict[str, Any]]:
         )
     except OSError:
         return []
+    return [os.path.join(directory, name) for name in names]
+
+
+def list_bundles(directory: str) -> List[Dict[str, Any]]:
+    """Summaries of the ``pm-*.json`` bundles under ``directory``.
+
+    Pure read side — never creates the directory; an absent one is an
+    empty list, matching a daemon that has not captured anything yet.
+    """
     rows: List[Dict[str, Any]] = []
-    for name in names:
-        path = os.path.join(directory, name)
+    for path in _bundle_paths(directory):
         try:
             with open(path, encoding="utf-8") as handle:
                 doc = json.load(handle)
@@ -216,7 +221,7 @@ def list_bundles(directory: str) -> List[Dict[str, Any]]:
         trigger = doc.get("trigger") or {}
         rows.append(
             {
-                "id": doc.get("id", name[: -len(".json")]),
+                "id": doc.get("id", os.path.basename(path)[: -len(".json")]),
                 "captured_s": doc.get("captured_s"),
                 "trigger": trigger.get("name"),
                 "kind": trigger.get("kind"),
@@ -251,16 +256,8 @@ class PostmortemStore:
         return len(self.paths())
 
     def paths(self) -> List[str]:
-        """Bundle paths on disk, oldest first (id order = capture order)."""
-        try:
-            names = sorted(
-                name
-                for name in os.listdir(self.directory)
-                if name.startswith("pm-") and name.endswith(".json")
-            )
-        except OSError:
-            return []
-        return [os.path.join(self.directory, name) for name in names]
+        """Bundle paths on disk, oldest first."""
+        return _bundle_paths(self.directory)
 
     def write(self, document: Dict[str, Any]) -> str:
         """Atomically persist one bundle; returns its path.

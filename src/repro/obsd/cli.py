@@ -1,14 +1,18 @@
-"""``hiss-slo``: evaluate SLOs, inspect alerts, and diff job traces.
+"""``hiss-slo``: evaluate SLOs, diff job traces, inspect postmortems.
 
 Subcommands::
 
     hiss-slo evaluate --ops ops.jsonl [--slo slos.json] [-o report.html]
-    hiss-slo evaluate --url http://host:port [--slo slos.json]
-    hiss-slo alerts --url http://host:port [--json]
+    hiss-slo evaluate --url http://host:port [--json]
     hiss-slo diff baseline-trace.json compare-trace.json [-o diff.html]
     hiss-slo diff --url http://host:port JOB_A JOB_B
     hiss-slo validate slos.json
     hiss-slo default-spec > slos.json
+    hiss-slo postmortem list [DIR]             # bundles in a directory
+    hiss-slo postmortem list --url URL         # bundles of a live daemon
+    hiss-slo postmortem summary pm-....json    # aligned-text incident summary
+    hiss-slo postmortem render pm-....json -o report.html
+    hiss-slo postmortem validate pm-....json   # schema check; exit 1 on problems
 
 Offline mode replays a daemon's ``--log-json`` capture through the same
 pure burn-rate evaluation the live engine runs (clocked entirely by the
@@ -17,7 +21,15 @@ byte-for-byte reproducible — run it twice, diff the files, get nothing.
 Live mode asks the daemon's ``GET /v1/alerts`` for its current verdicts
 instead.  Exit codes: ``evaluate`` exits 3 with ``--fail-on-firing``
 when any rule fires; ``validate`` exits 1 on schema problems; ``diff``
-exits 2 when an input is not a job trace.
+exits 2 when an input is not a job trace; a ``--url`` that cannot be
+reached, or answers with an error, is one error line and exit 1.
+
+Postmortem bundles are written by a daemon started with ``hiss-serve
+--postmortem-dir`` (auto-captured on SLO alerts, worker crashes, and the
+other triggers) or fetched from it with ``hiss-client postmortem <id> -o
+pm.json``.  Their HTML report is fully self-contained (inline CSS,
+inline timeline SVG, embedded raw JSON) and byte-identical across
+re-renders of the same bundle.
 """
 
 from __future__ import annotations
@@ -25,16 +37,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-from ..telemetry.kit import load_json, print_invalid, run_subcommand, write_page
+from ..telemetry.kit import load_checked, load_json, print_invalid, run_subcommand, write_page
 from ..version import add_version_flag
+from .bundle import list_bundles, validate_postmortem
 from .replay import DEFAULT_REPLAY_INTERVAL_S, replay_ops_log
 from .report import (
     diff_text,
     evaluation_text,
+    postmortem_text,
     render_diff_html,
     render_evaluation_html,
+    render_postmortem_html,
     store_series,
 )
 from .slo import (
@@ -61,21 +76,16 @@ def _load_specs(path: Optional[str]) -> List:
         raise SystemExit(f"hiss-slo: {path}: {error}")
 
 
-def _fetch(url: str, path: str, timeout_s: float = 30.0) -> Any:
-    import urllib.error
-    import urllib.request
+def _from_daemon(url: str, call: Callable[[Any], Any]) -> Any:
+    """``call(ServiceClient(url))``; None, after one error line on stderr,
+    when the daemon cannot be reached or answers with an error."""
+    from ..service.client import TRANSPORT_ERRORS, ServiceClient, ServiceError
 
-    request = urllib.request.Request(
-        url.rstrip("/") + path, headers={"Accept": "application/json"}
-    )
     try:
-        with urllib.request.urlopen(request, timeout=timeout_s) as response:
-            return json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as error:
-        detail = error.read().decode("utf-8", errors="replace")[:200]
-        raise SystemExit(f"hiss-slo: {url}{path}: HTTP {error.code}: {detail}")
-    except urllib.error.URLError as error:
-        raise SystemExit(f"hiss-slo: cannot reach {url}: {error}")
+        return call(ServiceClient(url))
+    except (ServiceError, *TRANSPORT_ERRORS) as error:
+        print(f"{PROG}: error: {url}: {error}", file=sys.stderr)
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +105,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         # Live mode: the daemon evaluated with its own engine; render its
         # verdicts rather than re-deriving them from a partial view.
-        report = _fetch(args.url, "/v1/alerts")
+        report = _from_daemon(args.url, lambda client: client.alerts())
+        if report is None:
+            return 1
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -111,19 +123,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_alerts(args: argparse.Namespace) -> int:
-    report = _fetch(args.url, "/v1/alerts")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(evaluation_text(report))
-    return 0
-
-
 def _cmd_diff(args: argparse.Namespace) -> int:
     names = (args.baseline, args.compare)
     if args.url:
-        docs = [_fetch(args.url, f"/v1/jobs/{name}/trace") for name in names]
+        docs = _from_daemon(
+            args.url, lambda client: [client.trace(name) for name in names]
+        )
+        if docs is None:
+            return 1
     else:
         docs = [load_json(PROG, name, what="trace") for name in names]
     invalid = [
@@ -158,10 +165,70 @@ def _cmd_default_spec(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_pm_list(args: argparse.Namespace) -> int:
+    if args.url:
+        body = _from_daemon(args.url, lambda client: client.postmortems())
+        if body is None:
+            return 1
+        rows = body.get("postmortems", [])
+    else:
+        rows = list_bundles(args.directory)
+    if not rows:
+        where = args.url or args.directory
+        print(f"no postmortem bundles at {where}")
+        return 0
+    header = (
+        f"{'id':<28} {'trigger':<18} {'kind':<16} {'jobs':>4} "
+        f"{'ring':>5} {'bytes':>9}"
+    )
+    print(header)
+    print("-" * len(header))
+    for row in rows:
+        print(
+            f"{str(row.get('id', '?')):<28} {str(row.get('trigger', '?')):<18} "
+            f"{str(row.get('kind', '?')):<16} {row.get('jobs', 0):>4} "
+            f"{row.get('ring_entries', 0):>5} {row.get('bytes', 0):>9}"
+        )
+    return 0
+
+
+def _cmd_pm_summary(args: argparse.Namespace) -> int:
+    print(postmortem_text(load_checked(PROG, args.bundle, validate_postmortem)))
+    return 0
+
+
+def _cmd_pm_render(args: argparse.Namespace) -> int:
+    document = load_checked(PROG, args.bundle, validate_postmortem)
+    size = write_page(args.output, render_postmortem_html(document))
+    entries = len((document.get("flight_ring") or {}).get("entries") or [])
+    print(
+        f"wrote {args.output} ({size} bytes, {entries} ring entries, "
+        f"{len(document.get('jobs') or [])} job(s))"
+    )
+    return 0
+
+
+def _cmd_pm_validate(args: argparse.Namespace) -> int:
+    status = 0
+    for path in args.bundles:
+        document = load_json(PROG, path)
+        if print_invalid(validate_postmortem(document), where=f"{path}: "):
+            status = 1
+            continue
+        ring = document.get("flight_ring") or {}
+        print(
+            f"OK: {path} ({document.get('id')}, "
+            f"{len(ring.get('entries') or [])} ring entries, "
+            f"{len(document.get('jobs') or [])} job(s))"
+        )
+    return status
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog=PROG,
-        description="Evaluate serving-tier SLOs and diff job traces.",
+        description="Evaluate serving-tier SLOs, diff job traces and "
+        "inspect postmortem bundles.",
     )
     add_version_flag(parser)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -193,11 +260,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     evaluate.set_defaults(func=_cmd_evaluate)
 
-    alerts = sub.add_parser("alerts", help="print a live daemon's alert state")
-    alerts.add_argument("--url", default="http://127.0.0.1:8171", help="server URL")
-    alerts.add_argument("--json", action="store_true", help="print the raw document")
-    alerts.set_defaults(func=_cmd_alerts)
-
     diff = sub.add_parser(
         "diff", help="attribute the e2e latency delta between two job traces"
     )
@@ -220,6 +282,36 @@ def main(argv: Optional[List[str]] = None) -> int:
         "default-spec", help="print the built-in SLO spec document (a template)"
     )
     default_spec.set_defaults(func=_cmd_default_spec)
+
+    postmortem = sub.add_parser(
+        "postmortem", help="list, summarize, render and validate postmortem bundles"
+    )
+    pm = postmortem.add_subparsers(dest="postmortem_command", required=True)
+    listing = pm.add_parser("list", help="list bundles in a directory or daemon")
+    listing.add_argument(
+        "directory", nargs="?", default=".",
+        help="bundle directory (default: current directory)",
+    )
+    listing.add_argument(
+        "--url", default=None,
+        help="list a live daemon's bundles (GET /v1/postmortems) instead",
+    )
+    listing.set_defaults(func=_cmd_pm_list)
+
+    summary = pm.add_parser("summary", help="print a text incident summary")
+    summary.add_argument("bundle", help="postmortem bundle JSON")
+    summary.set_defaults(func=_cmd_pm_summary)
+
+    render = pm.add_parser("render", help="write the self-contained HTML report")
+    render.add_argument("bundle", help="postmortem bundle JSON")
+    render.add_argument(
+        "-o", "--output", default="postmortem.html", help="HTML output path"
+    )
+    render.set_defaults(func=_cmd_pm_render)
+
+    check = pm.add_parser("validate", help="schema check; exit 1 on problems")
+    check.add_argument("bundles", nargs="+", help="postmortem bundle JSON file(s)")
+    check.set_defaults(func=_cmd_pm_validate)
 
     return run_subcommand(parser, argv)
 

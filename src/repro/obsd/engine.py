@@ -1,10 +1,10 @@
-"""The stateful SLO engine a live daemon runs.
+"""What a live daemon runs: the SLO engine and the one watcher thread.
 
 :class:`SloEngine` owns three things the pure layers below it do not:
 
-* a **clock-driven sampler** — every ``interval_s`` it snapshots the
-  service's cumulative counters, stage histograms, and pool statistics
-  into the :class:`~repro.obsd.rollup.RollupStore`;
+* a **sampler** — each :meth:`~SloEngine.tick` snapshots the service's
+  cumulative counters, stage histograms, and pool statistics into the
+  :class:`~repro.obsd.rollup.RollupStore`;
 * **edge-triggered alerting** — it re-evaluates the specs after each
   sample and emits one structured event per *transition* (``slo.alert``
   when a rule starts firing, ``slo.resolved`` when it stops) into the
@@ -13,23 +13,27 @@
 * ``slo.*`` **gauges** for ``/metrics`` (per-slo burn rates and firing
   flags).
 
-The engine is the only place in :mod:`repro.obsd` allowed to read the
-wall clock, and even here it is read once per tick and passed down, so
-every decision below this line stays a pure function of sampled state.
-With the engine disabled (``HissService(slos=None)``, the default) the
-service carries a ``None`` and pays nothing.
+:class:`Watcher` is the one background thread behind ``--slo`` and
+``--postmortem-dir``: it ticks the engine every ``interval_s`` and
+writes the postmortem captures the
+:class:`~repro.obsd.recorder.FlightRecorder`'s triggers queue, as they
+queue.  It is the only place in :mod:`repro.obsd` that reads the wall
+clock for a tick, once per tick, and passes it down, so every decision
+below this line stays a pure function of sampled state.  With both
+disabled (the default) the service has no watcher and pays nothing.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..telemetry.metrics import Histogram
 from .rollup import DEFAULT_CAPACITY, DEFAULT_INTERVAL_S, RollupStore
 from .slo import ALERTS_SCHEMA, AlertEvent, SloSpec, evaluate_slos
 
-__all__ = ["SloEngine"]
+__all__ = ["SloEngine", "Watcher"]
 
 #: Alert transitions kept in memory for ``GET /v1/alerts``.
 _ALERT_HISTORY = 256
@@ -55,8 +59,6 @@ class SloEngine:
         #: Recent alert transitions, oldest first (bounded).
         self._history: List[AlertEvent] = []
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
         self._last_report: Dict[str, Any] = {
             "schema": ALERTS_SCHEMA,
             "at_s": 0.0,
@@ -196,34 +198,61 @@ class SloEngine:
                 out[f"{prefix}.firing"] = float(row["firing"])
             return out
 
-    # ------------------------------------------------------------------
-    # Background thread (owned by HissService.start/stop)
-    # ------------------------------------------------------------------
-    def start(self, service) -> None:
-        import time as _time
 
-        if self._thread is not None:
-            return
+class Watcher:
+    """One thread: SLO ticks every ``interval_s``, captures as they queue.
 
-        def _loop() -> None:
-            while not self._stop.wait(self.interval_s):
+    Owned by ``HissService.start``/``stop``.  Either half may be None.
+    """
+
+    def __init__(self, service, engine: Optional[SloEngine] = None, recorder=None):
+        self.service = service
+        self.engine = engine
+        self.recorder = recorder
+        #: Set when the recorder queues a capture, and by :meth:`stop`.
+        self._wake = recorder.wake if recorder is not None else threading.Event()
+        self._stop = threading.Event()
+        self._thread: Optional[threading.Thread] = None
+
+    def start(self) -> None:
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._loop, name="hiss-obsd", daemon=True
+            )
+            self._thread.start()
+
+    def _loop(self) -> None:
+        engine = self.engine
+        next_tick = time.monotonic() + engine.interval_s if engine else None
+        while True:
+            self._wake.wait(
+                None if next_tick is None else max(0.0, next_tick - time.monotonic())
+            )
+            self._wake.clear()
+            if self._stop.is_set():
+                return
+            if next_tick is not None and time.monotonic() >= next_tick:
                 try:
-                    self.tick(_time.time(), service)
+                    engine.tick(time.time(), self.service)
                 except Exception:  # pragma: no cover - keep the daemon up
-                    if self.ops_log is not None:
-                        self.ops_log.log("slo.tick_error")
+                    if engine.ops_log is not None:
+                        engine.ops_log.log("slo.tick_error")
+                next_tick = time.monotonic() + engine.interval_s
+            if self.recorder is not None:
+                self.recorder.drain()
 
-        self._thread = threading.Thread(target=_loop, name="hiss-slo", daemon=True)
-        self._thread.start()
-
-    def stop(self, service=None) -> None:
+    def stop(self) -> None:
+        """Retire the thread, tick once more, then write what is queued."""
         self._stop.set()
+        self._wake.set()
         if self._thread is not None:
-            self._thread.join(timeout=5.0)
+            self._thread.join(timeout=10.0)
             self._thread = None
-        if service is not None:
+        if self.engine is not None:
             # One final synchronous tick so short-lived services (tests,
             # drain-and-exit daemons) still evaluate what they served.
-            import time as _time
-
-            self.tick(_time.time(), service)
+            self.engine.tick(time.time(), self.service)
+        if self.recorder is not None:
+            # After the final tick: an alert edge it raised has queued a
+            # capture that must be written before the service closes.
+            self.recorder.drain()

@@ -2,14 +2,15 @@
 
 A :class:`FlightRecorder` sits on the ops log's tee hook: every record
 the daemon logs (and, with the log disabled, would have logged) lands in
-:meth:`observe`, which appends it to the :class:`~repro.flight.ring.FlightRing`
+:meth:`observe`, which appends it to the :class:`~repro.obsd.ring.FlightRing`
 and evaluates the trigger predicates against it.  When one fires, a
-capture request is queued for the recorder's own thread — captures read
-service-wide state (SLO engine, job store, metrics) and must never run
-under the locks an emitting subsystem holds while logging, so the
-trigger path only enqueues.  ``stop()`` drains the queue synchronously;
-manual triggers capture on the calling (HTTP) thread, which holds no
-subsystem locks, and return the finished bundle.
+capture request is queued for the :class:`~repro.obsd.engine.Watcher`
+thread — captures read service-wide state (SLO engine, job store,
+metrics) and must never run under the locks an emitting subsystem holds
+while logging, so the trigger path only enqueues and sets :attr:`wake`.
+:meth:`drain` writes what is queued; manual triggers capture on the
+calling (HTTP) thread, which holds no subsystem locks, and return the
+finished bundle.
 
 The scheduler additionally feeds in-sim diagnostics through
 :meth:`note_run` — the tail of each executed run's event stream and, for
@@ -33,7 +34,6 @@ from typing import Any, Deque, Dict, List, Optional, Sequence
 from .bundle import PostmortemStore, blame_top_k, build_postmortem
 from .ring import DEFAULT_RING_CAPACITY, FlightRing
 from .triggers import (
-    KIND_JOB_LATENCY,
     KIND_LEDGER_INVARIANT,
     KIND_MANUAL,
     KIND_SLO_ALERT,
@@ -65,11 +65,15 @@ class FlightRecorder:
         ring_capacity: int = DEFAULT_RING_CAPACITY,
         metrics=None,
         ops_log=None,
+        service=None,
     ):
         self.ring = FlightRing(ring_capacity)
         self.store = store
         self.metrics = metrics
         self.ops_log = ops_log
+        #: The ``HissService`` whose state a bundle captures (None: the
+        #: bundle carries the ring and the build only).
+        self.service = service
         self.states = [TriggerState(spec) for spec in triggers]
         self._by_kind: Dict[str, List[TriggerState]] = {}
         for state in self.states:
@@ -78,76 +82,22 @@ class FlightRecorder:
         #: tees back into :meth:`observe` on the same thread.
         self._lock = threading.RLock()
         self._queue: Deque[Dict[str, Any]] = deque()
-        self._wake = threading.Event()
-        self._idle = threading.Event()
-        self._idle.set()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._service = None
+        #: Set whenever a capture is queued (the watcher thread waits on it).
+        self.wake = threading.Event()
+        #: Held while queued captures are written, so one :meth:`drain`
+        #: returning means none is still being written elsewhere.
+        self._draining = threading.Lock()
         self._sequence = 0
         self.captured = 0
         self.capture_errors = 0
         self._last_pool_crashes = 0
         self._last: Optional[Dict[str, Any]] = None
 
-    # ------------------------------------------------------------------
-    # Lifecycle (owned by HissService.start/stop)
-    # ------------------------------------------------------------------
-    def attach(self, service) -> None:
-        self._service = service
-
-    def start(self, service) -> None:
-        self.attach(service)
-        if self._thread is not None:
-            return
-
-        def _loop() -> None:
-            while True:
-                self._wake.wait(timeout=0.2)
-                self._wake.clear()
-                self._drain_queue()
-                if self._stop.is_set() and not self._queue:
-                    return
-
-        self._thread = threading.Thread(target=_loop, name="hiss-flight", daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Finish every queued capture, then retire the thread."""
-        self._stop.set()
-        self._wake.set()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        self._drain_queue()  # no thread (in-process use): capture inline
-
-    def flush(self, timeout_s: float = 10.0) -> bool:
-        """Block until queued captures are written (tests, smoke checks)."""
-        import time as _time
-
-        if self._thread is None:
-            self._drain_queue()
-            return True
-        deadline = _time.monotonic() + timeout_s
-        while True:
-            self._wake.set()
-            if not self._queue and self._idle.is_set():
-                return True
-            if _time.monotonic() >= deadline:
-                return False
-            _time.sleep(0.01)
-
-    def _drain_queue(self) -> None:
-        while True:
-            # Drop idle *before* the pop: flush() must never observe an
-            # empty queue + idle flag while a capture is still running.
-            self._idle.clear()
-            try:
-                request = self._queue.popleft()
-            except IndexError:
-                self._idle.set()
-                return
-            self._capture(request)
+    def drain(self) -> None:
+        """Write every queued capture on the calling thread."""
+        with self._draining:
+            while self._queue:
+                self._capture(self._queue.popleft())
 
     # ------------------------------------------------------------------
     # The tee: every ops record lands here
@@ -166,21 +116,8 @@ class FlightRecorder:
                     detail=f"slo {record.get('slo', '?')} firing "
                     f"(burn {record.get('burn_fast', 0)}x/{record.get('burn_slow', 0)}x)",
                 )
-            elif event in ("job.done", "job.failed"):
-                job_id = record.get("job")
-                e2e_s = record.get("e2e_s")
-                if e2e_s is not None:
-                    for state in self._by_kind.get(KIND_JOB_LATENCY, ()):
-                        if e2e_s >= state.spec.threshold_s:
-                            self._maybe_fire(
-                                KIND_JOB_LATENCY, ts_s, event,
-                                detail=f"job {job_id} e2e {e2e_s:.3f}s >= "
-                                f"{state.spec.threshold_s:g}s",
-                                jobs=[job_id] if job_id else [],
-                                states=[state],
-                            )
-                if event == "job.done" and self._by_kind.get(KIND_LEDGER_INVARIANT):
-                    self._check_ledger(ts_s, event, job_id)
+            elif event == "job.done" and self._by_kind.get(KIND_LEDGER_INVARIANT):
+                self._check_ledger(ts_s, event, record.get("job"))
             elif event == "batch.executed":
                 self._check_pool(ts_s, event)
 
@@ -242,7 +179,7 @@ class FlightRecorder:
             )
 
     def _check_ledger(self, ts_s: float, event: str, job_id: Optional[str]) -> None:
-        service = self._service
+        service = self.service
         if service is None or not job_id:
             return
         job = service.store.get(job_id)
@@ -270,9 +207,8 @@ class FlightRecorder:
         event: str,
         detail: str,
         jobs: Optional[List[str]] = None,
-        states: Optional[List[TriggerState]] = None,
     ) -> None:
-        for state in states if states is not None else self._by_kind.get(kind, ()):
+        for state in self._by_kind.get(kind, ()):
             if not state.should_fire(ts_s):
                 continue
             if self.metrics is not None:
@@ -287,7 +223,7 @@ class FlightRecorder:
                     "jobs": list(jobs or []),
                 }
             )
-            self._wake.set()
+            self.wake.set()
 
     # ------------------------------------------------------------------
     # Capture
@@ -344,7 +280,7 @@ class FlightRecorder:
             return None
 
     def _capture_inner(self, trigger: Dict[str, Any]) -> Dict[str, Any]:
-        service = self._service
+        service = self.service
         with self._lock:
             sequence = self._sequence
             self._sequence += 1

@@ -13,8 +13,6 @@ Kinds:
 * ``worker_crash`` — the warm pool's lifetime ``crashed_workers``
   counter advanced (checked after every batch; the respawn shows up in
   the same :class:`~repro.core.pool.PoolStats` delta)
-* ``job_latency`` — a job finished with end-to-end latency at or above
-  ``threshold_s``
 * ``ledger_invariant`` — a profiled job's attribution failed
   reconciliation (:func:`repro.profiling.validate_profile` found
   problems: service-channel sums no longer match the SSR accumulator)
@@ -32,7 +30,6 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, Optional, Tuple
 
 __all__ = [
-    "KIND_JOB_LATENCY",
     "KIND_LEDGER_INVARIANT",
     "KIND_MANUAL",
     "KIND_SLO_ALERT",
@@ -46,17 +43,10 @@ __all__ = [
 
 KIND_SLO_ALERT = "slo_alert"
 KIND_WORKER_CRASH = "worker_crash"
-KIND_JOB_LATENCY = "job_latency"
 KIND_LEDGER_INVARIANT = "ledger_invariant"
 KIND_MANUAL = "manual"
 
-TRIGGER_KINDS = (
-    KIND_SLO_ALERT,
-    KIND_WORKER_CRASH,
-    KIND_JOB_LATENCY,
-    KIND_LEDGER_INVARIANT,
-    KIND_MANUAL,
-)
+TRIGGER_KINDS = (KIND_SLO_ALERT, KIND_WORKER_CRASH, KIND_LEDGER_INVARIANT, KIND_MANUAL)
 
 #: The rate-limit accounting window (one hour, in event-time seconds).
 RATE_WINDOW_S = 3600.0
@@ -68,8 +58,6 @@ class TriggerSpec:
 
     name: str
     kind: str
-    #: ``job_latency`` only: fire when a job's e2e_s reaches this.
-    threshold_s: Optional[float] = None
     #: Minimum event-time seconds between two captures of this trigger.
     debounce_s: float = 30.0
     #: Hard cap on captures per trailing hour of event time.
@@ -82,26 +70,18 @@ class TriggerSpec:
             raise ValueError(
                 f"unknown trigger kind {self.kind!r} (expected one of {TRIGGER_KINDS})"
             )
-        if self.kind == KIND_JOB_LATENCY:
-            if self.threshold_s is None or self.threshold_s <= 0:
-                raise ValueError(
-                    f"{self.name}: job_latency triggers need threshold_s > 0"
-                )
         if self.debounce_s < 0:
             raise ValueError(f"{self.name}: debounce_s must be >= 0")
         if self.max_per_hour < 1:
             raise ValueError(f"{self.name}: max_per_hour must be >= 1")
 
     def as_dict(self) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {
+        return {
             "name": self.name,
             "kind": self.kind,
             "debounce_s": self.debounce_s,
             "max_per_hour": self.max_per_hour,
         }
-        if self.threshold_s is not None:
-            doc["threshold_s"] = self.threshold_s
-        return doc
 
 
 class TriggerState:
@@ -147,23 +127,11 @@ class TriggerState:
         return doc
 
 
-def default_triggers(
-    e2e_threshold_s: Optional[float] = None,
-) -> Tuple[TriggerSpec, ...]:
-    """The standard trigger set ``hiss-serve --postmortem-dir`` installs.
-
-    ``e2e_threshold_s`` adds the per-job latency trigger (off by default:
-    a sensible threshold is deployment-specific, and the SLO alert edge
-    already covers systematic tail regressions).
-    """
-    specs = [
+def default_triggers() -> Tuple[TriggerSpec, ...]:
+    """The standard trigger set ``hiss-serve --postmortem-dir`` installs."""
+    return (
         TriggerSpec("slo-alert", KIND_SLO_ALERT),
         TriggerSpec("worker-crash", KIND_WORKER_CRASH),
         TriggerSpec("ledger-invariant", KIND_LEDGER_INVARIANT),
         TriggerSpec("manual", KIND_MANUAL, debounce_s=0.0, max_per_hour=60),
-    ]
-    if e2e_threshold_s is not None:
-        specs.append(
-            TriggerSpec("job-e2e", KIND_JOB_LATENCY, threshold_s=e2e_threshold_s)
-        )
-    return tuple(specs)
+    )

@@ -257,7 +257,7 @@ class ServiceClient:
 
     def alerts(self) -> Dict[str, Any]:
         """The SLO engine's ``/v1/alerts`` document (daemon must run
-        with ``--slo``; render with ``hiss-slo alerts``)."""
+        with ``--slo``; render with ``hiss-slo evaluate --url``)."""
         return self._get("/v1/alerts")
 
     def postmortems(self) -> Dict[str, Any]:
@@ -267,7 +267,7 @@ class ServiceClient:
 
     def postmortem(self, pm_id: str) -> Dict[str, Any]:
         """One stored postmortem bundle (``hiss.postmortem/1``; render
-        with ``hiss-postmortem render``)."""
+        with ``hiss-slo postmortem render``)."""
         return self._get(f"/v1/postmortems/{pm_id}")
 
     def trigger_postmortem(
@@ -400,7 +400,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     postmortem.add_argument(
         "-o", "--output", default=None, metavar="FILE",
         help="write the bundle to FILE instead of stdout (then: "
-        "hiss-postmortem render FILE -o report.html)",
+        "hiss-slo postmortem render FILE -o report.html)",
     )
     metrics = commands.add_parser("metrics", help="print /metrics")
     metrics.add_argument("--text", action="store_true", help="flat text exposition")
@@ -462,7 +462,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 ring = (bundle.get("flight_ring") or {}).get("entries") or []
                 print(
                     f"wrote {args.output} ({len(ring)} ring entries; render "
-                    f"with 'hiss-postmortem render {args.output} -o report.html')"
+                    f"with 'hiss-slo postmortem render {args.output} -o report.html')"
                 )
             else:
                 _print_json(bundle)

@@ -105,12 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         "oldest (default 20)",
     )
     parser.add_argument(
-        "--postmortem-e2e-threshold", type=float, default=None,
-        metavar="SECONDS",
-        help="also capture a postmortem when a job's end-to-end latency "
-        "exceeds SECONDS (off by default)",
-    )
-    parser.add_argument(
         "--no-trace", action="store_true",
         help="skip capturing in-sim event streams into job traces "
         "(lifecycle spans and /v1/jobs/<id>/trace still work)",
@@ -174,7 +168,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         slo_interval_s=args.slo_interval,
         postmortem_dir=args.postmortem_dir,
         postmortem_keep=args.postmortem_keep,
-        postmortem_e2e_threshold_s=args.postmortem_e2e_threshold,
     )
     shutdown = threading.Event()
 

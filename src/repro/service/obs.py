@@ -72,7 +72,7 @@ class OpsLog:
 
     ``tee`` (when set) receives every record as a dict, *before* the
     write and regardless of whether a stream is attached — it is how the
-    flight recorder (:mod:`repro.flight`) observes the event stream even
+    flight recorder (:mod:`repro.obsd.recorder`) observes the event stream even
     on daemons that log nowhere.  The tee is called outside the write
     lock (it must be thread-safe on its own) so a slow consumer can
     never hold up rotation, and a rotation can never tear what the tee

@@ -78,6 +78,12 @@ __all__ = ["HissService"]
 #: HTTP header a client uses to keep one trace id across back-off rounds.
 TRACE_HEADER = "X-Hiss-Trace-Id"
 
+#: The reply to a postmortem route when the flight recorder is off.
+_POSTMORTEM_DISABLED = {
+    "error": "postmortem-disabled",
+    "detail": "start the daemon with --postmortem-dir to enable the flight recorder",
+}
+
 #: How many rejected traces the back-off ledger remembers (LRU-bounded).
 _BACKOFF_TRACES = 256
 #: Back-off rounds remembered per trace.
@@ -113,9 +119,7 @@ class HissService:
         slo_interval_s: float = 5.0,
         postmortem_dir: Optional[str] = None,
         postmortem_keep: int = 20,
-        postmortem_e2e_threshold_s: Optional[float] = None,
         flight_triggers=None,
-        flight_capacity: int = 512,
     ):
         if cache_dir:
             _experiment.configure_disk_cache(cache_dir)
@@ -132,19 +136,17 @@ class HissService:
         #: the subsystem).
         self.flight = None
         if postmortem_dir:
-            from ..flight import FlightRecorder, PostmortemStore, default_triggers
+            from ..obsd import FlightRecorder, PostmortemStore, default_triggers
 
-            triggers = (
-                flight_triggers
-                if flight_triggers is not None
-                else default_triggers(e2e_threshold_s=postmortem_e2e_threshold_s)
-            )
             self.flight = FlightRecorder(
                 store=PostmortemStore(postmortem_dir, keep=postmortem_keep),
-                triggers=triggers,
-                ring_capacity=flight_capacity,
+                triggers=(
+                    flight_triggers if flight_triggers is not None
+                    else default_triggers()
+                ),
                 metrics=self.metrics,
                 ops_log=self.ops_log,
+                service=self,
             )
             self.ops_log.tee = self.flight.observe
         self.governor = ServiceGovernor(
@@ -170,9 +172,9 @@ class HissService:
             flight=self.flight,
         )
         #: SLO engine (None = disabled, the default; disabled costs the
-        #: request path nothing — no sampling thread, no extra routes'
-        #: state, and served documents are byte-identical to a build
-        #: without the subsystem).
+        #: request path nothing — no sampling, no extra routes' state,
+        #: and served documents are byte-identical to a build without
+        #: the subsystem).
         self.slo_engine = None
         if slos:
             from ..obsd import SloEngine
@@ -180,6 +182,12 @@ class HissService:
             self.slo_engine = SloEngine(
                 slos, interval_s=slo_interval_s, ops_log=self.ops_log
             )
+        #: The one thread behind both (None when both are off).
+        self.watcher = None
+        if self.slo_engine is not None or self.flight is not None:
+            from ..obsd import Watcher
+
+            self.watcher = Watcher(self, self.slo_engine, self.flight)
         #: Rejected-round ledger: trace id -> back-off spans accumulated
         #: before admission succeeds (LRU-bounded, lock-protected).
         self._backoff_lock = threading.Lock()
@@ -211,12 +219,11 @@ class HissService:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "HissService":
-        if self.flight is not None:
-            # Before the scheduler: the recorder must see the first batch.
-            self.flight.start(self)
+        if self.watcher is not None:
+            # Before the scheduler: a capture the first batch triggers
+            # is written as it queues.
+            self.watcher.start()
         self.scheduler.start()
-        if self.slo_engine is not None:
-            self.slo_engine.start(self)
         self._serve_thread = threading.Thread(
             target=self.httpd.serve_forever, name="hiss-serve", daemon=True
         )
@@ -232,14 +239,11 @@ class HissService:
         """
         self._draining = True
         self.scheduler.stop(drain=drain)
-        if self.slo_engine is not None:
-            # After the drain so the final synchronous tick evaluates
-            # everything this service actually served.
-            self.slo_engine.stop(self)
-        if self.flight is not None:
-            # After the SLO engine: its final tick may still raise an
-            # alert edge whose capture must finish before we close.
-            self.flight.stop()
+        if self.watcher is not None:
+            # After the drain so the final synchronous SLO tick evaluates
+            # everything this service actually served; the capture of an
+            # alert edge it raises is written before we close.
+            self.watcher.stop()
         self.httpd.shutdown()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=10)
@@ -498,11 +502,7 @@ class _Handler(BaseHTTPRequestHandler):
                 path=self.path, detail=detail,
                 traceback=traceback.format_exc(limit=20),
             )
-            self._send_json(
-                500,
-                {"error": "internal", "detail": detail, "trace_id": self.trace_id},
-                headers={TRACE_HEADER: self.trace_id},
-            )
+            self._send_json(500, {"error": "internal", "detail": detail})
 
     def _send_json(
         self,
@@ -511,6 +511,13 @@ class _Handler(BaseHTTPRequestHandler):
         headers: Optional[Dict[str, str]] = None,
         indent: Optional[int] = None,
     ) -> None:
+        if status >= 400:
+            # Every error reply names its request's trace id, in the body
+            # and the header, so a failed call can be found in the ops log.
+            body = dict(body)
+            body.setdefault("trace_id", self.trace_id)
+            headers = dict(headers or {})
+            headers.setdefault(TRACE_HEADER, self.trace_id)
         payload = (json.dumps(body, indent=indent) + "\n").encode("utf-8")
         self._send(status, payload, "application/json", headers)
 
@@ -584,37 +591,23 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             else:
                 self._send_json(200, service.slo_engine.alerts_document())
+        elif service.flight is None and (
+            path == "/v1/postmortems" or path.startswith("/v1/postmortems/")
+        ):
+            self._send_json(404, _POSTMORTEM_DISABLED)
         elif path == "/v1/postmortems":
-            if service.flight is None:
-                self._send_json(
-                    404,
-                    {"error": "postmortem-disabled",
-                     "detail": "start the daemon with --postmortem-dir "
-                     "to enable the flight recorder"},
-                )
-            else:
-                self._send_json(
-                    200,
-                    {"postmortems": service.flight.store.index(),
-                     "status": service.flight.document()},
-                )
+            self._send_json(
+                200,
+                {"postmortems": service.flight.store.index(),
+                 "status": service.flight.document()},
+            )
         elif path.startswith("/v1/postmortems/"):
             pm_id = path[len("/v1/postmortems/"):]
-            if service.flight is None:
-                self._send_json(
-                    404,
-                    {"error": "postmortem-disabled",
-                     "detail": "start the daemon with --postmortem-dir "
-                     "to enable the flight recorder"},
-                )
+            doc = service.flight.store.load(pm_id)
+            if doc is None:
+                self._send_json(404, {"error": "unknown-postmortem", "detail": pm_id})
             else:
-                doc = service.flight.store.load(pm_id)
-                if doc is None:
-                    self._send_json(
-                        404, {"error": "unknown-postmortem", "detail": pm_id}
-                    )
-                else:
-                    self._send_json(200, doc, indent=2)
+                self._send_json(200, doc, indent=2)
         elif path == "/v1/experiments":
             self._send_json(200, service.experiments_document())
         elif path == "/v1/ops":
@@ -707,12 +700,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _post_postmortem_trigger(self) -> None:
         service = self.service
         if service.flight is None:
-            self._send_json(
-                404,
-                {"error": "postmortem-disabled",
-                 "detail": "start the daemon with --postmortem-dir "
-                 "to enable the flight recorder"},
-            )
+            self._send_json(404, _POSTMORTEM_DISABLED)
             return
         try:
             body = self._read_json_body() or {}

@@ -1,10 +1,10 @@
 """Shared pieces of the report pages, the document CLIs and the rings.
 
-``hiss-trace``, ``hiss-report``, ``hiss-slo`` and ``hiss-postmortem``
-load JSON documents, validate them and render self-contained HTML pages
-the same way, and the bounded series behind them
-(:class:`~repro.obsd.rollup.RollupStore`,
-:class:`~repro.flight.ring.FlightRing`,
+``hiss-trace``, ``hiss-report`` and ``hiss-slo`` (with its
+``postmortem`` commands) load JSON documents, validate them and render
+self-contained HTML pages the same way, and the bounded series behind
+them (:class:`~repro.obsd.rollup.RollupStore`,
+:class:`~repro.obsd.ring.FlightRing`,
 :class:`~repro.profiling.sampler.SimSampler`) decimate by the same rule.
 This module holds the one copy of each.  Standard library only.
 """

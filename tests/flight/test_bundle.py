@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.flight import (
+from repro.obsd import (
     FlightRing,
     PostmortemStore,
     blame_top_k,

@@ -1,4 +1,4 @@
-"""hiss-postmortem CLI + HTML/text rendering determinism.
+"""``hiss-slo postmortem`` CLI + HTML/text rendering determinism.
 
 The acceptance bar: rendering the same bundle twice is byte-identical
 (everything in the report is clocked by event timestamps inside the
@@ -11,9 +11,13 @@ import socket
 
 import pytest
 
-from repro.flight import FlightRecorder, PostmortemStore, default_triggers
-from repro.flight.cli import main
-from repro.flight.report import postmortem_text, render_postmortem_html
+from repro.obsd import FlightRecorder, PostmortemStore, default_triggers
+from repro.obsd.cli import main as slo_main
+from repro.obsd.report import postmortem_text, render_postmortem_html
+
+
+def main(argv):
+    return slo_main(["postmortem", *argv])
 
 
 @pytest.fixture()
@@ -105,7 +109,7 @@ class TestCliExitCodes:
         assert main(["list", "--url", url]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith(f"hiss-postmortem: error: {url}: ")
+        assert err.startswith(f"hiss-slo: error: {url}: ")
         assert err.count("\n") == 1 and "Connection refused" in err
 
 

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.flight import FlightRing
+from repro.obsd import FlightRing
 
 
 def _fill(ring, n, kind="event"):

@@ -6,13 +6,8 @@ suppression decisions are exact — no sleeps, no clock reads.
 
 import pytest
 
-from repro.flight import TriggerSpec, TriggerState, default_triggers
-from repro.flight.triggers import (
-    KIND_JOB_LATENCY,
-    KIND_MANUAL,
-    KIND_SLO_ALERT,
-    RATE_WINDOW_S,
-)
+from repro.obsd import TriggerSpec, TriggerState, default_triggers
+from repro.obsd.triggers import KIND_MANUAL, KIND_SLO_ALERT, RATE_WINDOW_S
 
 
 class TestSpecValidation:
@@ -23,14 +18,6 @@ class TestSpecValidation:
     def test_rejects_empty_name(self):
         with pytest.raises(ValueError):
             TriggerSpec("", KIND_SLO_ALERT)
-
-    def test_job_latency_requires_a_threshold(self):
-        with pytest.raises(ValueError):
-            TriggerSpec("slow", KIND_JOB_LATENCY)
-        with pytest.raises(ValueError):
-            TriggerSpec("slow", KIND_JOB_LATENCY, threshold_s=0.0)
-        spec = TriggerSpec("slow", KIND_JOB_LATENCY, threshold_s=2.5)
-        assert spec.as_dict()["threshold_s"] == 2.5
 
     def test_rejects_negative_debounce_and_zero_rate(self):
         with pytest.raises(ValueError):
@@ -84,12 +71,6 @@ class TestDefaultTriggers:
     def test_standard_set_covers_the_four_auto_kinds_plus_manual(self):
         kinds = {spec.kind for spec in default_triggers()}
         assert kinds == {"slo_alert", "worker_crash", "ledger_invariant", "manual"}
-
-    def test_e2e_threshold_adds_the_latency_trigger(self):
-        specs = default_triggers(e2e_threshold_s=1.5)
-        latency = [s for s in specs if s.kind == KIND_JOB_LATENCY]
-        assert len(latency) == 1
-        assert latency[0].threshold_s == 1.5
 
     def test_manual_trigger_has_no_debounce(self):
         manual = next(s for s in default_triggers() if s.kind == KIND_MANUAL)

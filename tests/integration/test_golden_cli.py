@@ -31,8 +31,7 @@ import sys
 
 import pytest
 
-from repro.flight import FlightRing
-from repro.flight.cli import main as postmortem_main
+from repro.obsd import FlightRing
 from repro.obsd.cli import main as slo_main
 from repro.obsd.rollup import RollupStore
 from repro.profiling.cli import main as report_main
@@ -50,7 +49,6 @@ OPS_CAPTURE = os.path.join(
 PROGRAMS = {
     "hiss-report": report_main,
     "hiss-slo": slo_main,
-    "hiss-postmortem": postmortem_main,
     "hiss-trace": trace_main,
     "hiss-sweep": sweep_main,
 }
@@ -80,18 +78,19 @@ CASES = [
     ("slo-missing", "hiss-slo", ["validate", "missing.json"], []),
     ("slo-invalid-json", "hiss-slo", ["diff", "invalid.json", "job_b.json"], []),
     ("slo-diff-not-a-trace", "hiss-slo", ["diff", "not_a_document.json", "job_b.json"], []),
-    ("postmortem-render", "hiss-postmortem",
-     ["render", "pm/pm-000000-manual.json", "-o", "postmortem.html"],
+    ("postmortem-render", "hiss-slo",
+     ["postmortem", "render", "pm/pm-000000-manual.json", "-o", "postmortem.html"],
      ["postmortem.html"]),
-    ("postmortem-summary", "hiss-postmortem",
-     ["summary", "pm/pm-000000-manual.json"], []),
-    ("postmortem-validate", "hiss-postmortem",
-     ["validate", "pm/pm-000000-manual.json", "not_a_document.json"], []),
-    ("postmortem-list", "hiss-postmortem", ["list", "pm"], []),
-    ("postmortem-render-not-a-bundle", "hiss-postmortem",
-     ["render", "not_a_document.json", "-o", "x.html"], []),
-    ("postmortem-missing", "hiss-postmortem", ["summary", "missing.json"], []),
-    ("postmortem-invalid-json", "hiss-postmortem", ["summary", "invalid.json"], []),
+    ("postmortem-summary", "hiss-slo",
+     ["postmortem", "summary", "pm/pm-000000-manual.json"], []),
+    ("postmortem-validate", "hiss-slo",
+     ["postmortem", "validate", "pm/pm-000000-manual.json", "not_a_document.json"], []),
+    ("postmortem-list", "hiss-slo", ["postmortem", "list", "pm"], []),
+    ("postmortem-render-not-a-bundle", "hiss-slo",
+     ["postmortem", "render", "not_a_document.json", "-o", "x.html"], []),
+    ("postmortem-missing", "hiss-slo", ["postmortem", "summary", "missing.json"], []),
+    ("postmortem-invalid-json", "hiss-slo",
+     ["postmortem", "summary", "invalid.json"], []),
     ("trace-validate", "hiss-trace", ["validate", "chrome.json"], []),
     ("trace-validate-spans", "hiss-trace", ["validate", "--spans", "job_a.json"], []),
     ("trace-summary", "hiss-trace", ["summary", "chrome.json"], []),
@@ -224,7 +223,7 @@ def _build_inputs(directory: str) -> None:  # pragma: no cover - manual tool
 
     from repro.config import SystemConfig
     from repro.core import System
-    from repro.flight import (
+    from repro.obsd import (
         FlightRecorder,
         PostmortemStore,
         blame_top_k,

@@ -3,9 +3,10 @@
 Python 3.12 made ``sum()`` of floats compensate its rounding, so a float
 total built with it has other last bits on 3.12 and later than on 3.9 to
 3.11, and the same run no longer gives the same bits on every supported
-interpreter.  The simulator packages and ``core/system.py`` add floats
-with ``repro.oskernel.accounting.ordered_sum``, left to right, which
-gives every interpreter the bits ``sum()`` gave before 3.12.
+interpreter.  The simulator packages, ``core/system.py`` and the figure
+arithmetic in ``core/metrics.py`` add floats with
+``repro.oskernel.accounting.ordered_sum``, left to right, which gives
+every interpreter the bits ``sum()`` gave before 3.12.
 
 This scans those sources for calls of the builtin ``sum`` and fails on
 any call outside :data:`ALLOWLIST`, the integer sums, each with the
@@ -26,13 +27,15 @@ SCANNED = tuple(
     os.path.join("repro", *relative.split("/"))
     for relative in (
         "sim", "oskernel", "uarch", "iommu", "gpu", "workloads", "qos",
-        "mitigations", "core/system.py",
+        "mitigations", "core/system.py", "core/metrics.py",
     )
 )
 
 #: Builtin ``sum`` calls that stay: integer sums are exact on every
 #: interpreter.
 ALLOWLIST = {
+    "repro.core.metrics.SystemMetrics.interrupt_balance": "interrupt counts are ints",
+    "repro.core.metrics.SystemMetrics.total_interrupts": "interrupt counts are ints",
     "repro.oskernel.kernel.Kernel.ipis_total": "per-core IPI counts are ints",
     "repro.uarch.cache.SetAssociativeCache.occupancy": "set lengths are ints",
     "repro.qos.adaptive.AdaptiveQosGovernor._sampler": "counts idle cores",

@@ -50,10 +50,10 @@ ALLOWLIST: Dict[str, str] = {
     "repro.core.tracing.format_breakdown": _API,
     "repro.core.tracing.latency_breakdown": _API,
     "repro.core.tracing.total_mean_latency_ns": _API,
-    "repro.flight.recorder.FlightRecorder.note_invariant_violation": _SEAM,
     "repro.gpu.trace.TraceDrivenGpu": _API,
     "repro.gpu.trace.format_trace": _API,
     "repro.gpu.trace.parse_trace": _API,
+    "repro.obsd.recorder.FlightRecorder.note_invariant_violation": _SEAM,
     "repro.oskernel.accounting.TimeAccounting.core_mode": _SEAM,
     "repro.oskernel.accounting.TimeAccounting.grand_total": _SEAM,
     "repro.service.scheduler.JobScheduler.pause": _SEAM,

@@ -159,11 +159,12 @@ class TestDiff:
     def test_diff_rejects_fetched_documents_that_are_not_job_traces(
         self, monkeypatch, capsys
     ):
-        from repro.obsd import cli
+        from repro.service.client import ServiceClient
 
-        served = {"/v1/jobs/job-a/trace": {"error": "gone"},
-                  "/v1/jobs/job-b/trace": {"spans": "nope"}}
-        monkeypatch.setattr(cli, "_fetch", lambda url, path: served[path])
+        served = {"job-a": {"error": "gone"}, "job-b": {"spans": "nope"}}
+        monkeypatch.setattr(
+            ServiceClient, "trace", lambda self, job_id: served[job_id]
+        )
         assert main(["diff", "--url", "http://x", "job-a", "job-b"]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "INVALID: job-a: not a job trace: no 'spans' array",

@@ -220,9 +220,12 @@ class TestErrors:
             with pytest.raises(ServiceError) as excinfo:
                 client.status("job-nope")
             assert excinfo.value.status == 404
-            assert excinfo.value.body == {"error": "unknown-job", "detail": "job-nope"}
-            assert excinfo.value.trace_id is None  # the server's 404 names none
-            assert str(excinfo.value) == "HTTP 404: job-nope"
+            trace_id = excinfo.value.trace_id  # minted: the call sent none
+            assert trace_id and len(trace_id) == 16
+            assert excinfo.value.body == {
+                "error": "unknown-job", "detail": "job-nope", "trace_id": trace_id,
+            }
+            assert str(excinfo.value) == f"HTTP 404: job-nope [trace {trace_id}]"
 
             def broken_plan(spec):
                 raise ZeroDivisionError("float division by zero")
@@ -237,6 +240,32 @@ class TestErrors:
             # Each error reply left the connection usable.
             assert client.health()["status"] == "ok"
         assert len(accepted) == 1
+
+
+    def test_404_and_409_name_the_trace_id_in_body_and_header(self):
+        with running() as svc:
+            svc.scheduler.pause()
+            job_id = ServiceClient(svc.url).submit(["ipi"], horizon_ms=1.0)["job"]["id"]
+            connection = http.client.HTTPConnection(svc.host, svc.port, timeout=30)
+            try:
+                for path, status, error in (
+                    ("/v1/jobs/job-nope", 404, "unknown-job"),
+                    ("/v1/nowhere", 404, "not-found"),
+                    (f"/v1/jobs/{job_id}/result", 409, "not-done"),
+                    ("/v1/alerts", 404, "slo-disabled"),
+                ):
+                    connection.request(
+                        "GET", path, headers={server.TRACE_HEADER: "00000000000000cc"}
+                    )
+                    response = connection.getresponse()
+                    body = json.loads(response.read())
+                    assert response.status == status, path
+                    assert body["error"] == error
+                    assert body["trace_id"] == "00000000000000cc"
+                    assert response.getheader(server.TRACE_HEADER) == "00000000000000cc"
+            finally:
+                connection.close()
+                svc.scheduler.resume()
 
 
 class TestDraining:

@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.flight import (
+from repro.obsd import (
     FlightRecorder,
     PostmortemStore,
     TriggerSpec,

@@ -9,12 +9,14 @@ run (zero-overhead-off).
 
 Determinism note: services here use a huge ``slo_interval_s`` so SLO
 evaluation happens only via explicit ``tick()`` calls, and every capture
-is awaited with ``flight.flush()`` — no test depends on timer or thread
+is awaited with ``flight.drain()`` — no test depends on timer or thread
 scheduling.
 """
 
 import io
 import json
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -22,8 +24,14 @@ import urllib.request
 import pytest
 
 from repro.core import clear_cache, set_disk_cache
-from repro.flight import validate_postmortem
-from repro.obsd import SloSpec
+from repro.obsd import (
+    FlightRecorder,
+    PostmortemStore,
+    SloSpec,
+    TriggerSpec,
+    list_bundles,
+    validate_postmortem,
+)
 from repro.service import HissService, ServiceClient
 from repro.service.obs import OpsLog, ops_document
 
@@ -72,7 +80,7 @@ class TestAutoCapture:
         with _serve(tmp_path, slos=[TIGHT], ops_log=OpsLog(stream)) as svc:
             client, _body = _run_one_job(svc)
             svc.slo_engine.tick(time.time(), svc)
-            assert svc.flight.flush(timeout_s=30)
+            svc.flight.drain()
             index = client.postmortems()
             assert len(index["postmortems"]) == 1
             row = index["postmortems"][0]
@@ -106,24 +114,12 @@ class TestAutoCapture:
             # A worker dies; the next batch-end check sees the delta.
             crashes["n"] = 1
             svc.flight.observe({"ts": time.time(), "event": "batch.executed"})
-            assert svc.flight.flush(timeout_s=30)
+            svc.flight.drain()
             rows = client.postmortems()["postmortems"]
             assert [row["kind"] for row in rows] == ["worker_crash"]
             bundle = client.postmortem(rows[0]["id"])
             assert validate_postmortem(bundle) == []
             assert "1 pool worker(s) crashed" in bundle["trigger"]["detail"]
-
-    def test_job_e2e_threshold_trigger(self, tmp_path):
-        with _serve(tmp_path, postmortem_e2e_threshold_s=0.001) as svc:
-            client, body = _run_one_job(svc)
-            assert svc.flight.flush(timeout_s=30)
-            rows = client.postmortems()["postmortems"]
-            assert [row["kind"] for row in rows] == ["job_latency"]
-            bundle = client.postmortem(rows[0]["id"])
-            assert validate_postmortem(bundle) == []
-            # The breaching job is the implicated one.
-            assert bundle["trigger"]["jobs"] == [body["job"]["id"]]
-            assert bundle["jobs"][0]["job_id"] == body["job"]["id"]
 
     def test_alert_storm_is_debounced_to_one_bundle(self, tmp_path):
         with _serve(tmp_path) as svc:
@@ -133,7 +129,7 @@ class TestAutoCapture:
                     {"ts": now + i, "event": "slo.alert", "slo": "e2e-tight",
                      "burn_fast": 20.0, "burn_slow": 15.0}
                 )
-            assert svc.flight.flush(timeout_s=30)
+            svc.flight.drain()
             rows = ServiceClient(svc.url, timeout_s=30).postmortems()["postmortems"]
             assert len(rows) == 1
             gauges = svc.gauges()
@@ -150,7 +146,7 @@ class TestAutoCapture:
                     {"ts": now + i, "event": "slo.alert", "slo": "e2e-tight",
                      "burn_fast": 20.0, "burn_slow": 15.0}
                 )
-            assert svc.flight.flush(timeout_s=30)
+            svc.flight.drain()
             client = ServiceClient(svc.url, timeout_s=30)
             body = client.submit(["fig4"], quick=True, horizon_ms=5.0)
             assert client.wait(body["job"]["id"], timeout_s=120)["state"] == "done"
@@ -164,6 +160,92 @@ class TestAutoCapture:
         assert not set(doc["counters"]) & set(gauges)
 
 
+class TestOneWatcher:
+    """SLO ticks and postmortem captures share one background thread."""
+
+    @staticmethod
+    def _watcher_threads():
+        names = ("hiss-obsd", "hiss-slo", "hiss-flight")
+        return {t for t in threading.enumerate() if t.name in names}
+
+    def test_one_thread_per_service_whatever_is_on(self, tmp_path):
+        for options in ({"slos": [TIGHT], "postmortem_dir": str(tmp_path / "a")},
+                        {"slos": [TIGHT]},
+                        {"postmortem_dir": str(tmp_path / "b")}):
+            before = self._watcher_threads()
+            with _serve(**options) as svc:
+                started = self._watcher_threads() - before
+                assert [t.name for t in started] == ["hiss-obsd"], options
+            assert not any(t.is_alive() for t in started)
+            assert svc.watcher is not None
+        before = self._watcher_threads()
+        with _serve() as svc:
+            assert svc.watcher is None
+            assert self._watcher_threads() == before
+
+    def test_stop_writes_the_bundle_of_its_final_tick_alert(self, tmp_path):
+        stream = io.StringIO()
+        with _serve(tmp_path, slos=[TIGHT], ops_log=OpsLog(stream)) as svc:
+            _run_one_job(svc)
+            assert svc.slo_engine.ticks == 0  # interval is huge: no timer tick
+            assert list_bundles(str(tmp_path / "pm")) == []
+        # stop() ticked once, the tight objective fired, and the alert's
+        # capture was written before stop() returned.
+        rows = list_bundles(str(tmp_path / "pm"))
+        assert [row["kind"] for row in rows] == ["slo_alert"]
+        events = [json.loads(line)["event"] for line in stream.getvalue().splitlines()]
+        assert events.index("slo.alert") < events.index("postmortem.written")
+
+    def test_concurrent_captures_are_each_written_and_counted_once(self, tmp_path):
+        """The watcher thread and a caller may drain at once while observers
+        queue and HTTP threads capture manually: no capture is lost, written
+        twice or left uncounted."""
+        recorder = FlightRecorder(
+            PostmortemStore(str(tmp_path / "pm"), keep=1000),
+            triggers=(
+                TriggerSpec("slo-alert", "slo_alert", debounce_s=0.0, max_per_hour=1000),
+                TriggerSpec("manual", "manual", debounce_s=0.0, max_per_hour=1000),
+            ),
+        )
+        rounds = 20
+        # One event time for all: the threads interleave, and a trigger
+        # debounces an occurrence whose time runs backwards.
+        at_s = 100.0
+
+        def observe():
+            for _ in range(rounds):
+                recorder.observe({"ts": at_s, "event": "slo.alert"})
+
+        def drain():
+            for _ in range(rounds):
+                recorder.drain()
+
+        def manual():
+            for _ in range(rounds):
+                assert recorder.trigger_manual("stress", at_s=at_s)
+
+        threads = [threading.Thread(target=observe) for _ in range(3)]
+        threads += [threading.Thread(target=manual) for _ in range(2)]
+        threads += [threading.Thread(target=drain) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        recorder.drain()
+        captures = 5 * rounds
+        assert recorder.capture_errors == 0
+        assert recorder.captured == captures
+        rows = list_bundles(str(tmp_path / "pm"))
+        assert sorted(int(row["id"].split("-")[1]) for row in rows) == list(range(captures))
+        assert sorted(row["kind"] for row in rows) == ["manual"] * 40 + ["slo_alert"] * 60
+
+
 class TestManualTrigger:
     def test_post_captures_on_demand(self, tmp_path):
         with _serve(tmp_path) as svc:
@@ -175,8 +257,6 @@ class TestManualTrigger:
             assert bundle["trigger"]["detail"] == "drill"
 
     def test_post_rate_limits_with_429(self, tmp_path):
-        from repro.flight import TriggerSpec
-
         triggers = (TriggerSpec("manual", "manual", debounce_s=0.0, max_per_hour=1),)
         with _serve(tmp_path, flight_triggers=triggers) as svc:
             client = ServiceClient(svc.url, timeout_s=30)
@@ -201,7 +281,7 @@ class TestLedgerInvariant:
             svc.flight.note_invariant_violation(
                 time.time(), "service-channel sums diverged by 42ns"
             )
-            assert svc.flight.flush(timeout_s=30)
+            svc.flight.drain()
             rows = ServiceClient(svc.url, timeout_s=30).postmortems()["postmortems"]
             assert [row["kind"] for row in rows] == ["ledger_invariant"]
             assert "42ns" in rows[0]["detail"]

@@ -20,7 +20,6 @@ MAINS = [
     ("hiss-report", "repro.profiling.cli"),
     ("hiss-sweep", "repro.search.cli"),
     ("hiss-slo", "repro.obsd.cli"),
-    ("hiss-postmortem", "repro.flight.cli"),
 ]
 
 
