@@ -20,7 +20,7 @@ from repro.service import HissService, ServiceClient
 def main() -> int:
     horizon_ms = float(sys.argv[1]) if len(sys.argv) > 1 else 2.0
 
-    print("Starting hiss-serve in-process (ephemeral port)...")
+    print("Starting hiss serve in-process (ephemeral port)...")
     service = HissService(port=0, jobs=1, queue_limit=8, qos_threshold=0.9)
     service.start()
     client = ServiceClient(service.url)

@@ -11,7 +11,7 @@ applications concurrently and reports performance *relative to a baseline*:
 Runs are memoized on ``(cpu, gpu, ssr, config, horizon)`` since every
 figure reuses baselines heavily.  The memo table is the first level of a
 two-level cache: an opt-in on-disk store (see :mod:`repro.core.runcache`
-and ``hiss-experiments --cache-dir``) persists runs across invocations,
+and ``hiss experiments --cache-dir``) persists runs across invocations,
 content-addressed by a stable key digest plus a code fingerprint.
 
 The module also supports *planning mode* (see :func:`planning`): inside

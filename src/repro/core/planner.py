@@ -90,7 +90,7 @@ class PrewarmReport:
     #: (or death notice).  The rest of the batch still completed.
     failed: List[Tuple[RunKey, str]] = field(default_factory=list)
     #: Cost-model estimate of the batch, summed over pending keys —
-    #: reported to the service governor *before* execution.
+    #: handed to ``execute_runs``' ``on_predicted`` *before* execution.
     predicted_core_s: float = 0.0
     #: Warm-pool stats snapshot taken after the batch (empty when the
     #: batch ran in-process).
@@ -257,12 +257,14 @@ def execute_runs(
     trace_capacity: int = 0,
     profile_keys: Optional[set] = None,
     on_run: Optional[Callable[[RunKey, Dict[str, Any]], None]] = None,
+    on_predicted: Optional[Callable[[float], None]] = None,
 ) -> PrewarmReport:
     """Simulate ``keys``, filling both cache levels.
 
-    Keys a cache level already holds are skipped; the rest are ordered
-    longest-predicted-first by the cost model (the batch estimate lands
-    in ``report.predicted_core_s`` before anything executes) and run
+    Keys a cache level already holds are skipped; the cost model predicts
+    each of the rest once, and they are ordered longest-predicted-first
+    (the batch estimate lands in ``report.predicted_core_s``, and goes to
+    ``on_predicted(core_s)``, before anything executes) and run
     in-process at ``jobs == 1`` (or for a single pending run), on the
     process-wide warm pool otherwise — the identical task tuple through
     the identical :func:`~repro.core.pool.run_task`, so results are
@@ -292,8 +294,11 @@ def execute_runs(
         pending.append(key)
 
     model = cost_model()
-    pending = order_longest_first(pending)
-    report.predicted_core_s = sum(model.predict(key) for key in pending)
+    predicted = {key: model.predict(key) for key in pending}
+    pending = order_longest_first(pending, predicted.__getitem__)
+    report.predicted_core_s = sum(predicted[key] for key in pending)
+    if on_predicted is not None:
+        on_predicted(report.predicted_core_s)
     tasks = [(key, trace_capacity, key in profile_keys) for key in pending]
     pool = None
     if report.workers == 1 or len(tasks) <= 1:

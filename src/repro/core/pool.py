@@ -52,7 +52,7 @@ from queue import Empty
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import experiment as _experiment
-from .runcache import RunKey, cost_model, run_key_digest
+from .runcache import RunKey, run_key_digest
 
 __all__ = [
     "PoolStats",
@@ -125,7 +125,9 @@ def run_label(key: RunKey) -> str:
     return f"{label}@{horizon_ns / 1e6:g}ms"
 
 
-def order_longest_first(keys: Sequence[RunKey]) -> List[RunKey]:
+def order_longest_first(
+    keys: Sequence[RunKey], predict: Callable[[RunKey], float]
+) -> List[RunKey]:
     """Cost-model dispatch order: predicted-longest first, digest ties.
 
     Longest-job-first bounds the batch makespan by the longest single run
@@ -133,11 +135,10 @@ def order_longest_first(keys: Sequence[RunKey]) -> List[RunKey]:
     digest keeps the order deterministic even before the model has
     observed anything.  That digest leaves out the code fingerprint, so a
     source edit does not reorder the runs (nor a ``--trace`` file's).
+    ``predict(key)`` is the cost model's estimate for ``key``.
     """
-    model = cost_model()
     return sorted(
-        keys,
-        key=lambda key: (-model.predict(key), run_key_digest(key, fingerprint="")),
+        keys, key=lambda key: (-predict(key), run_key_digest(key, fingerprint=""))
     )
 
 

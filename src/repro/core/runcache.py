@@ -2,7 +2,7 @@
 
 The in-memory memo table in :mod:`repro.core.experiment` only helps within
 one process.  This module adds the second level: an opt-in on-disk store
-(``hiss-experiments --cache-dir``) keyed by a *stable* digest of the run
+(``hiss experiments --cache-dir``) keyed by a *stable* digest of the run
 request — ``(cpu, gpu, ssr, config, horizon)`` rendered canonically — plus
 a **code fingerprint**, so repeated invocations skip already-simulated runs
 and cache invalidation is automatic whenever the simulator changes.
@@ -90,7 +90,7 @@ def code_fingerprint() -> str:
 def reset_code_fingerprint() -> None:
     """Forget the memoized :func:`code_fingerprint`.
 
-    A long-lived process (the ``hiss-serve`` daemon) that reloads simulator
+    A long-lived process (the ``hiss serve`` daemon) that reloads simulator
     code must call this so subsequent digests reflect the new sources;
     otherwise the ``lru_cache`` would keep vouching for stale entries.
     """

@@ -33,11 +33,11 @@ class System:
         self.env = Environment()
         self.rng = RngRegistry(self.config.seed)
         #: Telemetry sink: an explicit tracer wins; otherwise the process
-        #: active tracer (set by ``hiss-experiments --trace``), which
+        #: active tracer (set by ``hiss experiments --trace``), which
         #: defaults to the no-op NULL_TRACER.
         self.tracer = tracer if tracer is not None else get_active_tracer()
         #: Attribution sink: an explicit profiler wins; otherwise the
-        #: process active collector (set by ``hiss-experiments
+        #: process active collector (set by ``hiss experiments
         #: --profile``) hands out a fresh per-run profiler, defaulting to
         #: the no-op NULL_PROFILER.  Profiling is a pure side channel:
         #: metrics are byte-for-byte identical with it on or off.

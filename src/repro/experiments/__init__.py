@@ -2,7 +2,7 @@
 
 Importing this package populates :data:`repro.experiments.common.REGISTRY`;
 use :func:`repro.experiments.common.run_experiment` or the
-``hiss-experiments`` CLI to regenerate any figure.
+``hiss experiments`` CLI to regenerate any figure.
 """
 
 from . import (  # noqa: F401 - imported for registration side effects

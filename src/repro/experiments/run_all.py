@@ -2,10 +2,10 @@
 
 Usage::
 
-    hiss-experiments --list
-    hiss-experiments fig3a fig4
-    hiss-experiments --all --quick
-    python -m repro.experiments.run_all fig12a
+    hiss experiments --list
+    hiss experiments fig3a fig4
+    hiss experiments --all --quick
+    python -m repro experiments fig12a
 
 ``--quick`` trims the workload grid (6 CPU apps, 4 GPU apps) for a fast
 smoke pass; the full grid reproduces every bar the paper plots.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from typing import List, Optional
 
 from .common import (
@@ -93,7 +92,7 @@ def experiment_kwargs(
     """The kwargs one experiment runs with under the given CLI options.
 
     Shared by the CLI and the serving daemon (``repro.service``) so a job
-    submitted over HTTP sees exactly the grid ``hiss-experiments`` would.
+    submitted over HTTP sees exactly the grid ``hiss experiments`` would.
     """
     kwargs: dict = {}
     if quick:
@@ -110,13 +109,10 @@ def experiment_kwargs(
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="hiss-experiments",
+        prog="hiss experiments",
         description="Reproduce the figures/tables of 'Interference from GPU "
         "System Service Requests' (IISWC 2018) on the simulator.",
     )
-    from ..version import add_version_flag
-
-    add_version_flag(parser)
     parser.add_argument("experiments", nargs="*", help="experiment ids (e.g. fig3a)")
     parser.add_argument("--all", action="store_true", help="run every paper experiment")
     parser.add_argument(
@@ -144,7 +140,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--trace", metavar="FILE", default=None,
         help="record a structured event trace of every simulated run and "
         "write it as Chrome trace_event JSON (open in Perfetto or "
-        "chrome://tracing; inspect with hiss-trace)",
+        "chrome://tracing; inspect with hiss trace)",
     )
     parser.add_argument(
         "--trace-capacity", type=int, default=2_000_000,
@@ -154,7 +150,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--profile", metavar="FILE", default=None,
         help="attribute every simulated run's SSR interference (blame "
         "ledger + sim-time samples) and write the profile bundle as JSON "
-        "(render with hiss-report; already-cached runs are re-simulated "
+        "(render with hiss report; already-cached runs are re-simulated "
         "so every run gets a profile)",
     )
     parser.add_argument(
@@ -252,7 +248,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         write_chrome_trace(tracer, args.trace, label=f"hiss:{','.join(targets)}")
         print(
             f"wrote {args.trace} ({len(tracer)} events, {tracer.dropped} dropped; "
-            f"inspect with 'hiss-trace summary {args.trace}')"
+            f"inspect with 'hiss trace summary {args.trace}')"
         )
     if collector is not None:
         from ..profiling import set_active_collector
@@ -269,7 +265,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             json.dump(bundle, handle)
         print(
             f"wrote {args.profile} ({len(collector)} run profile(s); render "
-            f"with 'hiss-report render {args.profile} -o report.html')"
+            f"with 'hiss report render {args.profile} -o report.html')"
         )
     return 0
 
@@ -290,7 +286,3 @@ def render_markdown(results) -> str:
             lines.append(f"*{result.notes}*")
         lines.append("")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

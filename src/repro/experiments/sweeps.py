@@ -13,7 +13,7 @@ a time to show *why* the system behaves as it does:
 * ``sweep_qos`` — a fine-grained threshold curve for the governor,
   including the adaptive mode as the final row.
 
-Like every figure, a sweep is plannable: ``hiss-experiments`` and the
+Like every figure, a sweep is plannable: ``hiss experiments`` and the
 serving tier record its runs, execute them through the planner (on the
 warm worker pool at ``--jobs`` > 1), and then build the rows from the
 cache.

@@ -41,7 +41,7 @@ The pieces (see ``docs/observability.md``):
 
 :mod:`~repro.obsd.replay` rebuilds rollup buckets offline from a
 captured ops JSONL; :mod:`~repro.obsd.report` renders text and
-single-file HTML; :mod:`~repro.obsd.cli` (``hiss-slo``) evaluates,
+single-file HTML; :mod:`~repro.obsd.cli` (``hiss slo``) evaluates,
 diffs, and renders reports from either a capture or a live daemon, and
 lists, summarizes, renders and validates postmortem bundles.
 

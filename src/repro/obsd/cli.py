@@ -1,32 +1,34 @@
-"""``hiss-slo``: evaluate SLOs, diff job traces, inspect postmortems.
+"""``hiss slo``: evaluate SLOs, diff job traces, inspect postmortems.
 
 Subcommands::
 
-    hiss-slo evaluate --ops ops.jsonl [--slo slos.json] [-o report.html]
-    hiss-slo evaluate --url http://host:port [--json]
-    hiss-slo diff baseline-trace.json compare-trace.json [-o diff.html]
-    hiss-slo diff --url http://host:port JOB_A JOB_B
-    hiss-slo validate slos.json
-    hiss-slo default-spec > slos.json
-    hiss-slo postmortem list [DIR]             # bundles in a directory
-    hiss-slo postmortem list --url URL         # bundles of a live daemon
-    hiss-slo postmortem summary pm-....json    # aligned-text incident summary
-    hiss-slo postmortem render pm-....json -o report.html
-    hiss-slo postmortem validate pm-....json   # schema check; exit 1 on problems
+    hiss slo evaluate --ops ops.jsonl [--slo slos.json] [-o report.html]
+    hiss slo evaluate --url http://host:port [--json]
+    hiss slo diff baseline-trace.json compare-trace.json [-o diff.html]
+    hiss slo diff --url http://host:port JOB_A JOB_B
+    hiss slo validate slos.json
+    hiss slo default-spec > slos.json
+    hiss slo postmortem list [DIR]             # bundles in a directory
+    hiss slo postmortem list --url URL         # bundles of a live daemon
+    hiss slo postmortem summary pm-....json    # aligned-text incident summary
+    hiss slo postmortem render pm-....json -o report.html
+    hiss slo postmortem validate pm-....json   # schema check; exit 1 on problems
 
 Offline mode replays a daemon's ``--log-json`` capture through the same
 pure burn-rate evaluation the live engine runs (clocked entirely by the
 events' own timestamps), so the report for a given capture + spec set is
 byte-for-byte reproducible — run it twice, diff the files, get nothing.
 Live mode asks the daemon's ``GET /v1/alerts`` for its current verdicts
-instead.  Exit codes: ``evaluate`` exits 3 with ``--fail-on-firing``
-when any rule fires; ``validate`` exits 1 on schema problems; ``diff``
-exits 2 when an input is not a job trace; a ``--url`` that cannot be
-reached, or answers with an error, is one error line and exit 1.
+instead, for the daemon's own objectives, so ``--url`` with ``--slo`` is
+a usage error.  Exit codes: ``evaluate`` exits 3 with
+``--fail-on-firing`` when any rule fires; ``validate`` exits 1 on schema
+problems; ``diff`` exits 2 when an input is not a job trace; a ``--url``
+that cannot be reached, or answers with an error, is one error line and
+exit 1 (:func:`repro.service.client.daemon_error`).
 
-Postmortem bundles are written by a daemon started with ``hiss-serve
+Postmortem bundles are written by a daemon started with ``hiss serve
 --postmortem-dir`` (auto-captured on SLO alerts, worker crashes, and the
-other triggers) or fetched from it with ``hiss-client postmortem <id> -o
+other triggers) or fetched from it with ``hiss client postmortem <id> -o
 pm.json``.  Their HTML report is fully self-contained (inline CSS,
 inline timeline SVG, embedded raw JSON) and byte-identical across
 re-renders of the same bundle.
@@ -39,8 +41,7 @@ import json
 import sys
 from typing import Any, Callable, Dict, List, Optional
 
-from ..telemetry.kit import load_checked, load_json, print_invalid, run_subcommand, write_page
-from ..version import add_version_flag
+from ..telemetry.kit import load_checked, load_json, print_invalid, write_page
 from .bundle import list_bundles, validate_postmortem
 from .replay import DEFAULT_REPLAY_INTERVAL_S, replay_ops_log
 from .report import (
@@ -62,7 +63,7 @@ from .slo import (
 from .traces import trace_diff, trace_problems
 
 
-PROG = "hiss-slo"
+PROG = "hiss slo"
 
 
 def _load_specs(path: Optional[str]) -> List:
@@ -73,18 +74,18 @@ def _load_specs(path: Optional[str]) -> List:
     try:
         return parse_slo_document(doc)
     except ValueError as error:
-        raise SystemExit(f"hiss-slo: {path}: {error}")
+        raise SystemExit(f"{PROG}: {path}: {error}")
 
 
 def _from_daemon(url: str, call: Callable[[Any], Any]) -> Any:
     """``call(ServiceClient(url))``; None, after one error line on stderr,
     when the daemon cannot be reached or answers with an error."""
-    from ..service.client import TRANSPORT_ERRORS, ServiceClient, ServiceError
+    from ..service.client import DAEMON_ERRORS, ServiceClient, daemon_error
 
     try:
         return call(ServiceClient(url))
-    except (ServiceError, *TRANSPORT_ERRORS) as error:
-        print(f"{PROG}: error: {url}: {error}", file=sys.stderr)
+    except DAEMON_ERRORS as error:
+        daemon_error(PROG, url, error)
         return None
 
 
@@ -93,11 +94,14 @@ def _from_daemon(url: str, call: Callable[[Any], Any]) -> Any:
 # ----------------------------------------------------------------------
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     if bool(args.ops) == bool(args.url):
-        raise SystemExit("hiss-slo evaluate: give exactly one of --ops or --url")
-    specs = _load_specs(args.slo)
+        raise SystemExit(f"{PROG} evaluate: give exactly one of --ops or --url")
+    if args.url and args.slo:
+        args.usage_error("--slo applies to --ops replays; --url reports the "
+                         "daemon's own objectives")
     capture_doc: Optional[Dict[str, Any]] = None
     series = None
     if args.ops:
+        specs = _load_specs(args.slo)
         capture = replay_ops_log(args.ops, interval_s=args.interval)
         report = evaluate_slos(specs, capture.store)
         capture_doc = capture.as_dict()
@@ -230,7 +234,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Evaluate serving-tier SLOs, diff job traces and "
         "inspect postmortem bundles.",
     )
-    add_version_flag(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     evaluate = sub.add_parser(
@@ -245,7 +248,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     evaluate.add_argument(
         "--slo", metavar="FILE", default=None,
-        help="SLO spec JSON (hiss.slo/1); omit or 'default' for the built-ins",
+        help="SLO spec JSON (hiss.slo/1) for --ops; omit or 'default' for the built-ins",
     )
     evaluate.add_argument(
         "--interval", type=float, default=DEFAULT_REPLAY_INTERVAL_S,
@@ -258,7 +261,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--fail-on-firing", action="store_true",
         help="exit 3 when any rule fires (for CI gates)",
     )
-    evaluate.set_defaults(func=_cmd_evaluate)
+    evaluate.set_defaults(func=_cmd_evaluate, usage_error=evaluate.error)
 
     diff = sub.add_parser(
         "diff", help="attribute the e2e latency delta between two job traces"
@@ -313,8 +316,5 @@ def main(argv: Optional[List[str]] = None) -> int:
     check.add_argument("bundles", nargs="+", help="postmortem bundle JSON file(s)")
     check.set_defaults(func=_cmd_pm_validate)
 
-    return run_subcommand(parser, argv)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    args = parser.parse_args(argv)
+    return args.func(args)

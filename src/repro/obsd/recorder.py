@@ -27,6 +27,7 @@ decisions.
 from __future__ import annotations
 
 import threading
+import time
 import traceback
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Sequence
@@ -245,12 +246,10 @@ class FlightRecorder:
         if not states:
             return None
         state = states[0]
-        if at_s is None:
-            import time as _time
-
-            at_s = _time.time()
-        ts_s = at_s
         with self._lock:
+            # Read the clock under the lock, so admitted times never run
+            # backwards between concurrent requests.
+            ts_s = time.time() if at_s is None else at_s
             if not state.should_fire(ts_s):
                 return None
             if self.metrics is not None:
@@ -368,7 +367,7 @@ class FlightRecorder:
         }
 
     # ------------------------------------------------------------------
-    # Read side (endpoints, /metrics, hiss-top)
+    # Read side (endpoints, /metrics, hiss top)
     # ------------------------------------------------------------------
     def gauges(self) -> Dict[str, float]:
         """``postmortem.*`` gauges merged into the service ``/metrics``."""

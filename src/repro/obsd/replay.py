@@ -3,7 +3,7 @@
 The daemon's ``--log-json`` stream is a complete record of lifecycle
 transitions with timestamps, so the same windows the live
 :class:`~repro.obsd.engine.SloEngine` samples can be reconstructed after
-the fact — ``hiss-slo evaluate --ops ops.jsonl`` replays a capture
+the fact — ``hiss slo evaluate --ops ops.jsonl`` replays a capture
 through the *same* pure evaluation the daemon runs, which is how CI
 asserts alerting behavior without a clock in the loop.
 

@@ -1,4 +1,4 @@
-"""Deterministic text and single-file HTML reports for ``hiss-slo``.
+"""Deterministic text and single-file HTML reports for ``hiss slo``.
 
 SLO evaluations, trace diffs and postmortem bundles render here, under
 the same contract as :mod:`repro.profiling.report`: zero external
@@ -313,7 +313,7 @@ def render_diff_html(diff: Dict[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Postmortem bundles (``hiss-slo postmortem``)
+# Postmortem bundles (``hiss slo postmortem``)
 # ----------------------------------------------------------------------
 def _fmt_ns(ns: float) -> str:
     if ns >= 1e9:

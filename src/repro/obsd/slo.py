@@ -20,7 +20,7 @@ up at p95/p99 long before it moves a mean.
 Evaluation (:func:`evaluate_slos`) is a pure function of the rollup
 buckets and the spec list — no wall-clock reads, no ambient state — so
 the same capture always produces byte-identical verdicts, whether it is
-replayed offline by ``hiss-slo`` or watched live by the daemon.
+replayed offline by ``hiss slo`` or watched live by the daemon.
 """
 
 from __future__ import annotations
@@ -254,7 +254,7 @@ class AlertEvent:
         }
 
 
-#: The out-of-the-box spec set (``hiss-serve --slo default``): the three
+#: The out-of-the-box spec set (``hiss serve --slo default``): the three
 #: stage tails the ops snapshot already surfaces, availability, and the
 #: warm pool's hit ratio.  Latency thresholds are deliberately generous
 #: defaults — tighten them per deployment with a spec file.

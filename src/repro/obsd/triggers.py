@@ -96,9 +96,15 @@ class TriggerState:
         self._recent: Deque[float] = deque()
 
     def should_fire(self, now_s: float) -> bool:
-        """Admit or suppress one occurrence at event time ``now_s``."""
+        """Admit or suppress one occurrence at event time ``now_s``.
+
+        A zero ``debounce_s`` never debounces, not even an occurrence
+        timed before the last admitted one (concurrent callers' times
+        interleave).
+        """
         if (
-            self._last_fired_s is not None
+            self.spec.debounce_s
+            and self._last_fired_s is not None
             and now_s - self._last_fired_s < self.spec.debounce_s
         ):
             self.suppressed_debounce += 1
@@ -128,7 +134,7 @@ class TriggerState:
 
 
 def default_triggers() -> Tuple[TriggerSpec, ...]:
-    """The standard trigger set ``hiss-serve --postmortem-dir`` installs."""
+    """The standard trigger set ``hiss serve --postmortem-dir`` installs."""
     return (
         TriggerSpec("slo-alert", KIND_SLO_ALERT),
         TriggerSpec("worker-crash", KIND_WORKER_CRASH),

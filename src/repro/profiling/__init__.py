@@ -5,7 +5,7 @@ nanosecond charged to a ``(ssr, channel, victim, core)`` cell
 (:mod:`~repro.profiling.ledger`), fixed-interval timeline sampling
 (:mod:`~repro.profiling.sampler`), per-run document assembly and the
 process-wide collector (:mod:`~repro.profiling.profiler`), plus the
-exporters behind the ``hiss-report`` CLI
+exporters behind the ``hiss report`` CLI
 (:mod:`~repro.profiling.flamegraph`, :mod:`~repro.profiling.report`).
 
 Opt-in and zero-cost when off: the disabled :data:`NULL_LEDGER` /

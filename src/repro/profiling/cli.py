@@ -1,13 +1,13 @@
-"""``hiss-report``: render and inspect interference profiles.
+"""``hiss report``: render and inspect interference profiles.
 
 Subcommands::
 
-    hiss-report render profile.json -o report.html --collapsed flame.txt
-    hiss-report summary profile.json       # text attribution table
-    hiss-report validate profile.json      # schema + conservation check
+    hiss report render profile.json -o report.html --collapsed flame.txt
+    hiss report summary profile.json       # text attribution table
+    hiss report validate profile.json      # schema + conservation check
 
-Profiles are produced by ``hiss-experiments ... --profile profile.json``
-or fetched from a running service with ``hiss-client profile <job-id>``.
+Profiles are produced by ``hiss experiments ... --profile profile.json``
+or fetched from a running service with ``hiss client profile <job-id>``.
 The ``--collapsed`` output is collapsed-stack format, directly consumable
 by flamegraph.pl or speedscope; the HTML report is fully self-contained
 (inline CSS/SVG, embedded raw JSON).
@@ -16,15 +16,13 @@ by flamegraph.pl or speedscope; the HTML report is fully self-contained
 from __future__ import annotations
 
 import argparse
-import sys
 
-from ..telemetry.kit import load_checked, load_json, print_invalid, run_subcommand, write_page
-from ..version import add_version_flag
+from ..telemetry.kit import load_checked, load_json, print_invalid, write_page
 from .flamegraph import write_collapsed
 from .profiler import profile_runs, validate_profile
 from .report import render_html, text_summary
 
-PROG = "hiss-report"
+PROG = "hiss report"
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
@@ -63,7 +61,6 @@ def main(argv=None) -> int:
         prog=PROG,
         description="Render and inspect HISS interference-attribution profiles.",
     )
-    add_version_flag(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     render = sub.add_parser("render", help="write the self-contained HTML report")
@@ -85,8 +82,5 @@ def main(argv=None) -> int:
     validate.add_argument("profile", help="profile JSON (bundle or single run)")
     validate.set_defaults(func=_cmd_validate)
 
-    return run_subcommand(parser, argv)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    args = parser.parse_args(argv)
+    return args.func(args)

@@ -6,7 +6,7 @@ the end of the measured horizon.  A :class:`ProfileCollector` hands a
 fresh profiler to every :class:`~repro.core.system.System` built while it
 is installed as the process-wide active collector (mirroring
 ``set_active_tracer``), and gathers the resulting documents into a
-*bundle* — what ``hiss-experiments --profile`` writes and ``hiss-report``
+*bundle* — what ``hiss experiments --profile`` writes and ``hiss report``
 renders.
 
 Profile data lives strictly outside :class:`SystemMetrics`: results are
@@ -158,7 +158,7 @@ class ProfileCollector:
 
 
 #: Active collector consulted by newly constructed Systems when no
-#: explicit profiler is passed — how ``hiss-experiments --profile``
+#: explicit profiler is passed — how ``hiss experiments --profile``
 #: reaches Systems built deep inside experiment harnesses.
 _ACTIVE_COLLECTOR: Optional[ProfileCollector] = None
 

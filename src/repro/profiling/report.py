@@ -113,7 +113,7 @@ def _fmt_ns(ns: float) -> str:
 
 
 # ----------------------------------------------------------------------
-# Text summary (hiss-report summary / render chatter)
+# Text summary (hiss report summary / render chatter)
 # ----------------------------------------------------------------------
 def text_summary(document: Dict) -> str:
     runs = profile_runs(document)

@@ -23,7 +23,7 @@ hand-picked grid:
   evaluated point journals to a resumable JSONL sweep-state file;
 * :mod:`repro.search.report` — frontier text table and a self-contained
   single-file HTML chart;
-* :mod:`repro.search.cli` — the ``hiss-sweep`` console script
+* :mod:`repro.search.cli` — the ``hiss sweep`` command
   (``run`` / ``resume`` / ``report`` / ``validate``).
 
 Determinism contract: the same seed + budget yields a bit-for-bit

@@ -1,11 +1,11 @@
-"""``hiss-sweep`` — the autotuner's console entry point.
+"""``hiss sweep`` — the autotuner's console entry point.
 
 Subcommands::
 
-    hiss-sweep run      --state sweep.jsonl [--seed N --budget N ...]
-    hiss-sweep resume   --state sweep.jsonl
-    hiss-sweep report   --state sweep.jsonl [-o frontier.html]
-    hiss-sweep validate --state sweep.jsonl
+    hiss sweep run      --state sweep.jsonl [--seed N --budget N ...]
+    hiss sweep resume   --state sweep.jsonl
+    hiss sweep report   --state sweep.jsonl [-o frontier.html]
+    hiss sweep validate --state sweep.jsonl
 
 ``run`` starts a fresh sweep (refusing to clobber an existing journal);
 ``resume`` continues one after a crash or a deliberate kill; ``report``
@@ -24,7 +24,6 @@ import sys
 from typing import List, Optional
 
 from ..core import configure_disk_cache
-from ..version import add_version_flag
 from ..telemetry import MetricsRegistry, SpanRecorder, render_metrics_text, trace_document
 from ..telemetry.kit import write_page
 from .driver import (
@@ -97,10 +96,9 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="hiss-sweep",
+        prog="hiss sweep",
         description="Adaptive Pareto autotuner over mitigation & QoS knobs.",
     )
-    add_version_flag(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text in (
@@ -166,7 +164,7 @@ def _cmd_sweep(args: argparse.Namespace, resume: bool) -> int:
     try:
         result = driver.run(resume=resume)
     except SweepInterrupted as interrupt:
-        # Journal + run cache hold everything; `hiss-sweep resume` picks
+        # Journal + run cache hold everything; `hiss sweep resume` picks
         # the sweep back up and converges to the uninterrupted archive.
         print(f"sweep interrupted: {interrupt}", file=sys.stderr)
         _finish(driver, args)
@@ -283,7 +281,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "report":
         return _cmd_report(args)
     return _cmd_validate(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,9 +17,9 @@ Layout:
 * :mod:`~repro.service.server` — ``ThreadingHTTPServer`` JSON API
 * :mod:`~repro.service.obs` — job trace documents, ``/v1/ops`` snapshot,
   structured JSONL ops logging
-* :mod:`~repro.service.client` — stdlib client + ``hiss-client`` CLI
-* :mod:`~repro.service.daemon` — ``hiss-serve`` entry point
-* :mod:`~repro.service.top` — ``hiss-top`` live console
+* :mod:`~repro.service.client` — stdlib client + ``hiss client`` CLI
+* :mod:`~repro.service.daemon` — ``hiss serve`` entry point
+* :mod:`~repro.service.top` — ``hiss top`` live console
 """
 
 from typing import TYPE_CHECKING

@@ -1,4 +1,4 @@
-"""Stdlib client for the simulation service, plus the ``hiss-client`` CLI.
+"""Stdlib client for the simulation service, plus the ``hiss client`` CLI.
 
 :class:`ServiceClient` wraps the JSON API in plain method calls;
 :func:`ServiceClient.submit_with_backoff` is the client half of the
@@ -14,18 +14,22 @@ same trade for a request's fixed host costs.
 
 CLI::
 
-    hiss-client --url http://host:port submit fig4 --quick --wait
-    hiss-client status job-000001-abcdef0123
-    hiss-client result job-000001-abcdef0123
-    hiss-client trace job-000001-abcdef0123 [--chrome]
-    hiss-client profile job-000001-abcdef0123 [-o profile.json]
-    hiss-client experiments | jobs | health | metrics [--text] | ops | alerts
-    hiss-client postmortems
-    hiss-client postmortem pm-000001-slo_alert [-o pm.json]
+    hiss client --url http://host:port submit fig4 --quick --wait
+    hiss client status job-000001-abcdef0123
+    hiss client result job-000001-abcdef0123
+    hiss client trace job-000001-abcdef0123 [--chrome]
+    hiss client profile job-000001-abcdef0123 [-o profile.json]
+    hiss client experiments | jobs | health | metrics [--text] | ops
+    hiss client postmortems
+    hiss client postmortem pm-000001-slo_alert [-o pm.json]
 
 ``submit --profile`` asks the daemon to attribute every run's SSR
 interference; fetch the bundle with ``profile`` and render it locally
-with ``hiss-report render profile.json -o report.html``.
+with ``hiss report render profile.json -o report.html``.
+
+Every tool that reaches a daemon (``hiss client``, ``hiss top`` and each
+``hiss slo ... --url``) answers a daemon that cannot be reached, or
+answers with an error, with :func:`daemon_error`'s one line and exit 1.
 """
 
 from __future__ import annotations
@@ -39,18 +43,22 @@ import time
 import urllib.parse
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["ServiceClient", "ServiceError", "ServiceRejected", "main"]
+__all__ = [
+    "DAEMON_ERRORS",
+    "ServiceClient",
+    "ServiceError",
+    "ServiceRejected",
+    "daemon_error",
+    "main",
+]
+
+PROG = "hiss client"
 
 DEFAULT_URL = "http://127.0.0.1:8171"
 
 #: Mirrors ``repro.service.server.TRACE_HEADER`` (kept literal: the client
 #: must work against a remote daemon without importing server code).
 TRACE_HEADER = "X-Hiss-Trace-Id"
-
-#: What an unreachable or misbehaving daemon raises besides
-#: :class:`ServiceError`: a refused or reset connection, a timeout, a
-#: reply that is not HTTP.  The CLIs turn these into one error line.
-TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 
 def _body_trace_id(body: Any) -> Optional[str]:
@@ -84,6 +92,18 @@ class ServiceRejected(ServiceError):
         super().__init__(status, body)
         self.retry_after_s = retry_after_s
         self.reason = body.get("error") if isinstance(body, dict) else "rejected"
+
+
+#: What an unreachable or misbehaving daemon raises: an error reply, a
+#: refused or reset connection, a timeout, a reply that is not HTTP.
+DAEMON_ERRORS = (ServiceError, OSError, http.client.HTTPException)
+
+
+def daemon_error(prog: str, url: str, error: BaseException) -> int:
+    """The one reply to a daemon in :data:`DAEMON_ERRORS` trouble: the
+    line ``<prog>: error: <url>: <error>`` on stderr; returns exit status 1."""
+    print(f"{prog}: error: {url}: {error}", file=sys.stderr)
+    return 1
 
 
 class ServiceClient:
@@ -248,16 +268,16 @@ class ServiceClient:
     def profile(self, job_id: str) -> Dict[str, Any]:
         """One finished job's interference-attribution bundle
         (``hiss.profile/1``; the job must have been submitted with
-        ``profile=True``).  Render with ``hiss-report``."""
+        ``profile=True``).  Render with ``hiss report``."""
         return self._get(f"/v1/jobs/{job_id}/profile")
 
     def ops(self) -> Dict[str, Any]:
-        """The ``/v1/ops`` snapshot (what ``hiss-top`` renders)."""
+        """The ``/v1/ops`` snapshot (what ``hiss top`` renders)."""
         return self._get("/v1/ops")
 
     def alerts(self) -> Dict[str, Any]:
         """The SLO engine's ``/v1/alerts`` document (daemon must run
-        with ``--slo``; render with ``hiss-slo evaluate --url``)."""
+        with ``--slo``; render with ``hiss slo evaluate --url``)."""
         return self._get("/v1/alerts")
 
     def postmortems(self) -> Dict[str, Any]:
@@ -267,7 +287,7 @@ class ServiceClient:
 
     def postmortem(self, pm_id: str) -> Dict[str, Any]:
         """One stored postmortem bundle (``hiss.postmortem/1``; render
-        with ``hiss-slo postmortem render``)."""
+        with ``hiss slo postmortem render``)."""
         return self._get(f"/v1/postmortems/{pm_id}")
 
     def trigger_postmortem(
@@ -333,12 +353,9 @@ def _print_json(doc: Any) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from ..version import add_version_flag
-
     parser = argparse.ArgumentParser(
-        prog="hiss-client", description="Talk to a hiss-serve simulation daemon."
+        prog=PROG, description="Talk to a running simulation daemon (hiss serve)."
     )
-    add_version_flag(parser)
     parser.add_argument("--url", default=DEFAULT_URL, help=f"server URL (default {DEFAULT_URL})")
     parser.add_argument("--timeout", type=float, default=30.0, help="per-request timeout (s)")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -350,7 +367,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     submit.add_argument(
         "--profile", action="store_true",
         help="attribute every run's SSR interference server-side "
-        "(fetch with 'hiss-client profile', render with hiss-report)",
+        "(fetch with 'hiss client profile', render with hiss report)",
     )
     submit.add_argument(
         "--wait", action="store_true", help="poll until the job finishes, print its result"
@@ -384,14 +401,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             sub.add_argument(
                 "-o", "--output", default=None, metavar="FILE",
                 help="write the bundle to FILE instead of stdout "
-                "(then: hiss-report render FILE -o report.html)",
+                "(then: hiss report render FILE -o report.html)",
             )
 
     commands.add_parser("jobs", help="list live jobs")
     commands.add_parser("experiments", help="list servable experiments")
     commands.add_parser("health", help="print /healthz")
     commands.add_parser("ops", help="print the /v1/ops snapshot")
-    commands.add_parser("alerts", help="print the /v1/alerts SLO document")
     commands.add_parser("postmortems", help="list the daemon's postmortem bundles")
     postmortem = commands.add_parser(
         "postmortem", help="fetch one postmortem bundle"
@@ -400,7 +416,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     postmortem.add_argument(
         "-o", "--output", default=None, metavar="FILE",
         help="write the bundle to FILE instead of stdout (then: "
-        "hiss-slo postmortem render FILE -o report.html)",
+        "hiss slo postmortem render FILE -o report.html)",
     )
     metrics = commands.add_parser("metrics", help="print /metrics")
     metrics.add_argument("--text", action="store_true", help="flat text exposition")
@@ -444,14 +460,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 runs = len(bundle.get("runs", []))
                 print(
                     f"wrote {args.output} ({runs} run profile(s); render "
-                    f"with 'hiss-report render {args.output} -o report.html')"
+                    f"with 'hiss report render {args.output} -o report.html')"
                 )
             else:
                 _print_json(bundle)
         elif args.command == "ops":
             _print_json(client.ops())
-        elif args.command == "alerts":
-            _print_json(client.alerts())
         elif args.command == "postmortems":
             _print_json(client.postmortems())
         elif args.command == "postmortem":
@@ -462,7 +476,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 ring = (bundle.get("flight_ring") or {}).get("entries") or []
                 print(
                     f"wrote {args.output} ({len(ring)} ring entries; render "
-                    f"with 'hiss-slo postmortem render {args.output} -o report.html')"
+                    f"with 'hiss slo postmortem render {args.output} -o report.html')"
                 )
             else:
                 _print_json(bundle)
@@ -488,11 +502,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (ServiceError, *TRANSPORT_ERRORS) as error:
+    except DAEMON_ERRORS as error:
         # TimeoutError (``--wait`` ran out) is an OSError too.
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        return daemon_error(PROG, args.url, error)

@@ -1,11 +1,12 @@
-"""``hiss-serve``: run the simulation service as a foreground daemon.
+"""``hiss serve``: run the simulation service as a foreground daemon.
 
 Usage::
 
-    hiss-serve --port 8171 --jobs 0 --cache-dir run-cache
-    hiss-serve --qos-threshold 0.5 --queue-limit 32 --verbose
-    hiss-serve --log-json ops.jsonl        # structured JSONL ops events
-    hiss-serve --slo default --postmortem-dir pm   # auto-capture bundles
+    hiss serve --port 8171 --jobs 0 --cache-dir run-cache
+    hiss serve --qos-threshold 0.5 --queue-limit 32 --verbose
+    hiss serve --log-json ops.jsonl        # structured JSONL ops events
+    hiss serve --slo default --postmortem-dir pm   # auto-capture bundles
+    python -m repro.service.daemon --port 0       # the same, as a module
 
 The process serves until SIGINT/SIGTERM, then drains: submissions get
 503, queued and in-flight jobs finish (their results stay fetchable for
@@ -22,19 +23,19 @@ import sys
 import threading
 from typing import List, Optional
 
-from ..version import add_version_flag
 from .obs import OpsLog
 from .server import HissService
 
 __all__ = ["main"]
 
+PROG = "hiss serve"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="hiss-serve",
+        prog=PROG,
         description="Serve HISS simulation jobs over an HTTP JSON API.",
     )
-    add_version_flag(parser)
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument("--port", type=int, default=8171, help="bind port (0 = ephemeral)")
     parser.add_argument(
@@ -68,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="persistent run cache shared with hiss-experiments --cache-dir",
+        help="persistent run cache shared with hiss experiments --cache-dir",
     )
     parser.add_argument(
         "--log-json", default=None, metavar="PATH",
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--slo", default=None, metavar="FILE",
         help="enable burn-rate SLO alerting: an SLO spec JSON (hiss.slo/1), "
         "or 'default' for the built-in objectives "
-        "(see 'hiss-slo default-spec' and docs/observability.md)",
+        "(see 'hiss slo default-spec' and docs/observability.md)",
     )
     parser.add_argument(
         "--slo-interval", type=float, default=5.0, metavar="SECONDS",
@@ -135,7 +136,7 @@ def _load_slos(arg: Optional[str]):
             doc = json.load(handle)
         return parse_slo_document(doc)
     except (OSError, ValueError) as error:
-        raise SystemExit(f"hiss-serve: --slo {arg}: {error}")
+        raise SystemExit(f"{PROG}: --slo {arg}: {error}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -172,7 +173,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     shutdown = threading.Event()
 
     def request_shutdown(signum, _frame) -> None:
-        print(f"\nhiss-serve: caught signal {signum}, draining...", flush=True)
+        print(f"\n{PROG}: caught signal {signum}, draining...", flush=True)
         shutdown.set()
 
     signal.signal(signal.SIGINT, request_shutdown)
@@ -180,7 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     service.start()
     print(
-        f"hiss-serve: listening on {service.url} "
+        f"{PROG}: listening on {service.url} "
         f"(queue limit {args.queue_limit}, qos threshold {args.qos_threshold}, "
         f"cache {'at ' + args.cache_dir if args.cache_dir else 'in-memory only'})",
         flush=True,
@@ -188,7 +189,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     shutdown.wait()
     service.stop(drain=True)
     ops_log.close()
-    print("hiss-serve: drained, bye", flush=True)
+    print(f"{PROG}: drained, bye", flush=True)
     return 0
 
 

@@ -15,11 +15,11 @@ Three deliverables live here:
   JSON served by ``GET /v1/jobs/<id>/trace`` and its Chrome-trace
   (``?format=chrome``) form, with worker-side in-sim spans merged in
   under the job's trace id.
-* :func:`ops_document` — the ``GET /v1/ops`` snapshot ``hiss-top``
+* :func:`ops_document` — the ``GET /v1/ops`` snapshot ``hiss top``
   renders: queue, governor, workers, cache hit rates, tail latencies,
   tracer saturation, recent jobs.
 * :class:`OpsLog` — structured JSONL operational logging (one event per
-  job/batch transition, keyed by trace/job ids; ``hiss-serve
+  job/batch transition, keyed by trace/job ids; ``hiss serve
   --log-json``), thread-safe and line-buffered so ``tail -f | jq`` works.
 """
 
@@ -356,7 +356,7 @@ LATENCY_HISTOGRAMS = (
 def ops_document(service, recent: int = 10) -> Dict[str, Any]:
     """Point-in-time operational snapshot of a ``HissService``.
 
-    Everything ``hiss-top`` shows in one GET: designed to be cheap (no
+    Everything ``hiss top`` shows in one GET: designed to be cheap (no
     simulation state is touched, only locks on the store/admission/
     governor) so polling it every second is harmless.
     """

@@ -1,7 +1,7 @@
 """The job scheduler: batch queued jobs onto the parallel run engine.
 
 One background thread drains the admission queue in batches.  Each batch
-is served exactly the way ``hiss-experiments`` serves a CLI invocation:
+is served exactly the way ``hiss experiments`` serves a CLI invocation:
 
 1. every job was already *planned* at submission time (run keys recorded
    via :func:`repro.core.experiment.planning`), so the batch's union of
@@ -47,7 +47,7 @@ from ..core.planner import (
     resolve_jobs,
     run_label,
 )
-from ..core.runcache import RunKey, cost_model, run_key_digest
+from ..core.runcache import RunKey, run_key_digest
 from ..telemetry import MetricsRegistry
 from .admission import AdmissionController, ServiceGovernor
 from .jobs import CANCELLED, DONE, FAILED, RUNNING, Job, JobStore
@@ -275,17 +275,6 @@ class JobScheduler:
             job.runs_cached = cached
             job.runs_executed = len(job.run_keys) - cached
 
-        # Charge the cost model's batch estimate to the governor *now* —
-        # admission starts back-pressuring while the batch is in flight,
-        # not one batch later.  After execution only the residual
-        # (actual - predicted, floored at 0) is added, so nothing is
-        # counted twice.
-        predicted_core_s = 0.0
-        if self.governor is not None and pending:
-            model = cost_model()
-            predicted_core_s = sum(model.predict(key) for key in pending)
-            self.governor.note_predicted(predicted_core_s)
-
         report = self._execute_batch(pending, needed_by, profile_keys)
         exec_done_s = self._clock()
         self.metrics.counter("service.runs.executed").inc(report.executed)
@@ -297,12 +286,12 @@ class JobScheduler:
         if self.governor is not None and report.executed:
             used = min(resolve_jobs(self.jobs), report.executed)
             self.governor.note_busy(
-                max(0.0, report.execute_s * used - predicted_core_s)
+                max(0.0, report.execute_s * used - report.predicted_core_s)
             )
         self.ops_log.log(
             "batch.executed", runs=report.executed, execute_s=report.execute_s,
             workers=report.workers, failed=len(report.failed),
-            predicted_core_s=round(predicted_core_s, 3),
+            predicted_core_s=round(report.predicted_core_s, 3),
         )
         failed_keys = {key: error for key, error in report.failed}
 
@@ -391,10 +380,16 @@ class JobScheduler:
                 profiled=profile_doc is not None,
             )
 
+        # Charge the cost model's batch estimate to the governor before the
+        # first run starts — admission starts back-pressuring while the
+        # batch is in flight, not one batch later.  After execution only
+        # the residual (actual - predicted, floored at 0) is added, so
+        # nothing is counted twice.
         return execute_runs(
             pending,
             jobs=self.jobs,
             trace_capacity=TRACE_EVENTS_PER_RUN if self.trace else 0,
             profile_keys=profile_keys,
             on_run=on_run,
+            on_predicted=None if self.governor is None else self.governor.note_predicted,
         )

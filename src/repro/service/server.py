@@ -18,11 +18,11 @@
                                       chrome://tracing export)
 ``GET /v1/jobs/<id>/profile``         the job's interference-attribution
                                       bundle (submit with ``profile:
-                                      true``; render with ``hiss-report``)
+                                      true``; render with ``hiss report``)
 ``DELETE /v1/jobs/<id>``              evict a terminal job before its TTL
 ``GET /v1/experiments``               registered experiments (+ plannability)
 ``GET /v1/ops``                       one-call operational snapshot
-                                      (what ``hiss-top`` renders)
+                                      (what ``hiss top`` renders)
 ``GET /v1/alerts``                    the SLO engine's burn-rate verdicts and
                                       alert history (404 unless ``--slo``)
 ``GET /v1/postmortems``               stored postmortem bundles + recorder
@@ -637,7 +637,7 @@ class _Handler(BaseHTTPRequestHandler):
                      "job": job.as_dict()},
                 )
             else:
-                # Exactly the document `hiss-experiments ... --json` writes.
+                # Exactly the document `hiss experiments ... --json` writes.
                 self._send_json(200, job.results, indent=2)
         elif tail == "trace":
             if query.get("format", ["spans"])[0] == "chrome":

@@ -1,15 +1,10 @@
-"""``hiss-top``: a live operational console for a running daemon.
+"""``hiss top``: a live operational console for a running daemon.
 
 Polls ``GET /v1/ops`` and renders queue depth, governor state, cache hit
 rates, stage-latency percentiles, and the most recent jobs — the serving
-tier's ``top``.  Three modes, all stdlib:
-
-* **curses** (default on a TTY when available): flicker-free full-screen
-  refresh, quit with ``q``.
-* **plain refresh** (``--plain``, or when curses/TTY are unavailable):
-  clears the terminal between frames with ANSI escapes.
-* **one-shot** (``--once``): render a single frame to stdout and exit —
-  what the CI smoke test runs.
+tier's ``top``.  It redraws the terminal every ``--interval`` with ANSI
+escapes until interrupted; ``--once`` renders a single frame to stdout
+and exits (what the CI smoke test runs).
 
 Rendering is a pure function (:func:`render_ops`) over the ops document,
 so tests cover the console without a terminal or a server.
@@ -22,9 +17,11 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from .client import DEFAULT_URL, TRANSPORT_ERRORS, ServiceClient, ServiceError
+from .client import DAEMON_ERRORS, DEFAULT_URL, ServiceClient, daemon_error
 
 __all__ = ["main", "render_ops"]
+
+PROG = "hiss top"
 
 
 def _fmt_s(value: Optional[float]) -> str:
@@ -65,7 +62,7 @@ def _latency_rows(latency: Dict[str, Any]) -> List[str]:
     return rows
 
 
-def render_ops(doc: Dict[str, Any], width: int = 80) -> str:
+def render_ops(doc: Dict[str, Any]) -> str:
     """One frame of the console, as plain text (pure; unit-testable)."""
     queue = doc.get("queue", {})
     governor = doc.get("governor", {})
@@ -79,10 +76,10 @@ def render_ops(doc: Dict[str, Any], width: int = 80) -> str:
     state = "DRAINING" if doc.get("draining") else "serving"
     lines: List[str] = []
     lines.append(
-        f"hiss-top — {state}, up {_fmt_s(doc.get('uptime_s'))}, "
+        f"{PROG} — {state}, up {_fmt_s(doc.get('uptime_s'))}, "
         f"{workers.get('resolved_workers', '?')} worker(s)"
     )
-    lines.append("=" * min(width, 78))
+    lines.append("=" * 78)
 
     depth = queue.get("depth", 0)
     limit = max(1, queue.get("limit", 1))
@@ -188,59 +185,10 @@ def render_ops(doc: Dict[str, Any], width: int = 80) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fetch(client: ServiceClient) -> Dict[str, Any]:
-    return client.ops()
-
-
-def _run_once(client: ServiceClient) -> int:
-    sys.stdout.write(render_ops(_fetch(client)))
-    return 0
-
-
-def _run_plain(client: ServiceClient, interval_s: float) -> int:
-    try:
-        while True:
-            frame = render_ops(_fetch(client))
-            # Home + clear-to-end beats full clears: no flicker on dumb terminals.
-            sys.stdout.write("\x1b[H\x1b[2J" + frame)
-            sys.stdout.flush()
-            time.sleep(interval_s)
-    except KeyboardInterrupt:
-        return 0
-
-
-def _run_curses(client: ServiceClient, interval_s: float) -> int:
-    import curses
-
-    def loop(screen) -> None:
-        curses.curs_set(0)
-        screen.nodelay(True)
-        screen.timeout(int(interval_s * 1000))
-        while True:
-            height, width = screen.getmaxyx()
-            frame = render_ops(_fetch(client), width=width)
-            screen.erase()
-            for row, line in enumerate(frame.splitlines()[: height - 1]):
-                try:
-                    screen.addnstr(row, 0, line, width - 1)
-                except curses.error:
-                    pass  # lower-right cell writes can fail; harmless
-            screen.refresh()
-            key = screen.getch()
-            if key in (ord("q"), ord("Q")):
-                return
-
-    curses.wrapper(loop)
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    from ..version import add_version_flag
-
     parser = argparse.ArgumentParser(
-        prog="hiss-top", description="Live console for a hiss-serve daemon."
+        prog=PROG, description="Live console for a running simulation daemon."
     )
-    add_version_flag(parser)
     parser.add_argument("--url", default=DEFAULT_URL, help=f"server URL (default {DEFAULT_URL})")
     parser.add_argument(
         "--interval", type=float, default=1.0, metavar="SECONDS",
@@ -249,30 +197,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--once", action="store_true", help="render one frame to stdout and exit"
     )
-    parser.add_argument(
-        "--plain", action="store_true",
-        help="ANSI refresh instead of curses (automatic when not a TTY)",
-    )
     parser.add_argument("--timeout", type=float, default=5.0, help="per-poll timeout (s)")
     args = parser.parse_args(argv)
 
     client = ServiceClient(args.url, timeout_s=args.timeout)
     try:
         if args.once:
-            return _run_once(client)
-        use_curses = not args.plain and sys.stdout.isatty()
-        if use_curses:
-            try:
-                import curses  # noqa: F401
-            except ImportError:
-                use_curses = False
-        if use_curses:
-            return _run_curses(client, args.interval)
-        return _run_plain(client, args.interval)
-    except (ServiceError, *TRANSPORT_ERRORS) as error:
-        print(f"hiss-top: {error}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+            sys.stdout.write(render_ops(client.ops()))
+            return 0
+        while True:
+            # Home + clear-to-end beats full clears: no flicker on dumb terminals.
+            sys.stdout.write("\x1b[H\x1b[2J" + render_ops(client.ops()))
+            sys.stdout.flush()
+            time.sleep(args.interval)
+    except KeyboardInterrupt:
+        return 0
+    except DAEMON_ERRORS as error:
+        return daemon_error(PROG, args.url, error)

@@ -8,8 +8,8 @@ Its pieces (see ``docs/observability.md``):
 * :mod:`repro.telemetry.metrics` — counters and fixed-bucket latency
   histograms (p50/p95/p99/max) for end-of-run aggregates.
 * :mod:`repro.telemetry.export` — Chrome ``trace_event`` JSON (open in
-  Perfetto / ``chrome://tracing``), written by ``hiss-experiments
-  --trace`` and read back as aligned text by the ``hiss-trace`` CLI.
+  Perfetto / ``chrome://tracing``), written by ``hiss experiments
+  --trace`` and read back as aligned text by the ``hiss trace`` CLI.
 * :mod:`repro.telemetry.spans` — wall-clock lifecycle spans with trace
   ids for the serving tier: span documents, validation, and stitching of
   service spans with in-sim event streams into one Chrome trace.

@@ -1,13 +1,13 @@
-"""``hiss-trace``: inspect and validate exported simulator traces.
+"""``hiss trace``: inspect and validate exported simulator traces.
 
 Subcommands::
 
-    hiss-trace validate out.json          # schema check; exit 1 on problems
-    hiss-trace validate --spans job.json  # job span document (service tier)
-    hiss-trace summary out.json           # per-track span time / event counts
-    hiss-trace timeline out.json --track "core 0" --limit 40
+    hiss trace validate out.json          # schema check; exit 1 on problems
+    hiss trace validate --spans job.json  # job span document (service tier)
+    hiss trace summary out.json           # per-track span time / event counts
+    hiss trace timeline out.json --track "core 0" --limit 40
 
-Traces are produced by ``hiss-experiments ... --trace out.json`` or by
+Traces are produced by ``hiss experiments ... --trace out.json`` or by
 :func:`repro.telemetry.export.write_chrome_trace`; they also open directly
 in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 """
@@ -19,11 +19,10 @@ import sys
 from collections import defaultdict
 from typing import Dict, List, Optional
 
-from ..version import add_version_flag
 from .export import validate_chrome_trace
-from .kit import load_json, print_invalid, run_subcommand
+from .kit import load_json, print_invalid
 
-PROG = "hiss-trace"
+PROG = "hiss trace"
 
 
 def _track_names(doc: Dict) -> Dict[int, str]:
@@ -102,7 +101,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
             tid = int(args.track)
         except ValueError:
             known = ", ".join(sorted(str(n) for n in tids))
-            print(f"hiss-trace: unknown track {args.track!r}; known: {known}", file=sys.stderr)
+            print(f"{PROG}: unknown track {args.track!r}; known: {known}", file=sys.stderr)
             return 1
     rows = [
         event
@@ -133,7 +132,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog=PROG,
         description="Inspect Chrome-trace JSON produced by the HISS simulator.",
     )
-    add_version_flag(parser)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     validate = subparsers.add_parser("validate", help="schema-check a trace file")
@@ -157,8 +155,5 @@ def main(argv: Optional[List[str]] = None) -> int:
     timeline.add_argument("--limit", type=int, default=50, help="max events to print (0 = all)")
     timeline.set_defaults(func=_cmd_timeline)
 
-    return run_subcommand(parser, argv)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    args = parser.parse_args(argv)
+    return args.func(args)

@@ -6,7 +6,7 @@ track (CPU cores first, then named device tracks such as ``iommu`` or
 ``gpu:ubench``).  Spans become complete events (``ph: "X"``), instants
 ``ph: "i"``, counter samples ``ph: "C"``; timestamps are microseconds (the
 format's unit) with sub-microsecond precision preserved as fractions.
-``hiss-trace summary`` and ``timeline`` (:mod:`repro.telemetry.cli`) read
+``hiss trace summary`` and ``timeline`` (:mod:`repro.telemetry.cli`) read
 the written document back as aligned text.
 
 :func:`render_metrics_text` is the Prometheus-style text exposition the

@@ -1,6 +1,6 @@
 """Shared pieces of the report pages, the document CLIs and the rings.
 
-``hiss-trace``, ``hiss-report`` and ``hiss-slo`` (with its
+``hiss trace``, ``hiss report`` and ``hiss slo`` (with its
 ``postmortem`` commands) load JSON documents, validate them and render
 self-contained HTML pages the same way, and the bounded series behind
 them (:class:`~repro.obsd.rollup.RollupStore`,
@@ -11,10 +11,8 @@ This module holds the one copy of each.  Standard library only.
 
 from __future__ import annotations
 
-import argparse
 import html
 import json
-import os
 import sys
 from typing import Any, Callable, List, Optional, Sequence, TypeVar
 
@@ -28,7 +26,6 @@ __all__ = [
     "load_json",
     "print_invalid",
     "render_page",
-    "run_subcommand",
     "write_page",
 ]
 
@@ -125,19 +122,6 @@ def load_checked(prog: str, path: str, validate: Callable[[Any], List[str]]) -> 
     if print_invalid(validate(document)):
         raise SystemExit(2)
     return document
-
-
-def run_subcommand(parser: argparse.ArgumentParser, argv: Optional[List[str]]) -> int:
-    """Parse ``argv`` and run the chosen subcommand's ``func``."""
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except BrokenPipeError:
-        # Downstream pager/head closed the pipe (e.g. `summary | head`).
-        # Point stdout at devnull so the interpreter's shutdown flush
-        # doesn't raise a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
 
 
 # ----------------------------------------------------------------------

@@ -247,7 +247,7 @@ def validate_trace_document(doc: Any) -> List[str]:
 
     An empty list means: versioned schema, a trace id every span agrees
     with, and well-formed non-negative intervals.  Used by the service
-    tests, ``hiss-trace validate --spans``, and the CI smoke job.
+    tests, ``hiss trace validate --spans``, and the CI smoke job.
     """
     errors: List[str] = []
     if not isinstance(doc, dict):

@@ -201,7 +201,7 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 #: Active tracer used by newly constructed Systems when none is passed
-#: explicitly — this is how ``hiss-experiments --trace`` reaches Systems
+#: explicitly — this is how ``hiss experiments --trace`` reaches Systems
 #: built deep inside experiment harnesses.
 _ACTIVE: Union[Tracer, NullTracer] = NULL_TRACER
 

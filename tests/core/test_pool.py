@@ -28,7 +28,7 @@ from repro.core import (
 )
 from repro.core.experiment import cache_lookup
 from repro.core.pool import TaskResult, WorkerPool
-from repro.core.runcache import CostModel
+from repro.core.runcache import CostModel, cost_model
 
 HORIZON = 1_000_000
 CPUS = ["x264", "blackscholes"]
@@ -175,7 +175,7 @@ class TestWorkerPool:
             WorkerPool(0)
 
     def test_terminate_ends_a_worker_despite_the_parent_handler(self):
-        # hiss-serve installs a SIGTERM handler that only sets a drain
+        # hiss serve installs a SIGTERM handler that only sets a drain
         # flag; fork workers inherit it.  Interpreter exit terminates and
         # then joins every daemonic worker, so a worker that survived
         # SIGTERM would hang the daemon after "drained, bye".
@@ -330,8 +330,9 @@ class TestCostModel:
 class TestDispatchOrder:
     def test_order_is_deterministic_without_observations(self):
         keys = fig4_keys()
-        first = order_longest_first(keys)
-        second = order_longest_first(list(reversed(keys)))
+        predict = cost_model().predict
+        first = order_longest_first(keys, predict)
+        second = order_longest_first(list(reversed(keys)), predict)
         assert first == second
         digest = lambda key: run_key_digest(key, fingerprint="")  # noqa: E731
         assert sorted(first, key=digest) == first  # digest tie-break
@@ -347,17 +348,15 @@ class TestDispatchOrder:
                 runcache, "code_fingerprint", lambda fingerprint=fingerprint: fingerprint
             )
             assert run_key_digest(keys[0]) != run_key_digest(keys[0], fingerprint="")
-            orders.append(order_longest_first(keys))
+            orders.append(order_longest_first(keys, cost_model().predict))
         assert orders[0] == orders[1]
 
     def test_observed_long_runs_dispatch_first(self):
-        from repro.core.runcache import cost_model
-
         keys = fig4_keys()
         model = cost_model()
         slow, fast = keys[-1], keys[0]
         model.observe(slow, 30.0)
         model.observe(fast, 0.01)
-        ordered = order_longest_first(keys)
+        ordered = order_longest_first(keys, model.predict)
         assert ordered[0] == slow
         assert ordered[-1] == fast

@@ -1,6 +1,6 @@
 """Golden figure tables: the quick grid at a 5 ms horizon, pinned.
 
-``data/golden_quick_5ms.json`` holds what ``hiss-experiments fig3a fig3b
+``data/golden_quick_5ms.json`` holds what ``hiss experiments fig3a fig3b
 fig4 fig5 ipi fig6a fig9 --quick --horizon-ms 5 --json`` writes, with
 ``elapsed_s`` dropped.  Experiment ids, titles, columns, row labels and
 table shapes must match exactly; numbers match to ``rel=1e-9`` because

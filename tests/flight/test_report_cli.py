@@ -1,4 +1,4 @@
-"""``hiss-slo postmortem`` CLI + HTML/text rendering determinism.
+"""``hiss slo postmortem`` CLI + HTML/text rendering determinism.
 
 The acceptance bar: rendering the same bundle twice is byte-identical
 (everything in the report is clocked by event timestamps inside the
@@ -109,7 +109,7 @@ class TestCliExitCodes:
         assert main(["list", "--url", url]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith(f"hiss-slo: error: {url}: ")
+        assert err.startswith(f"hiss slo: error: {url}: ")
         assert err.count("\n") == 1 and "Connection refused" in err
 
 

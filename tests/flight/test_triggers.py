@@ -42,6 +42,9 @@ class TestDebounce:
         )
         assert state.should_fire(5.0)
         assert state.should_fire(5.0)
+        # Concurrent callers' times interleave: an earlier time still fires.
+        assert state.should_fire(4.0)
+        assert state.suppressed_debounce == 0
 
 
 class TestRateLimit:

@@ -1,7 +1,7 @@
 """Golden outputs of the report and document CLIs, pinned across builds.
 
-Every case runs one console entry point in-process through its
-``main([...])`` over the fixed inputs in ``data/golden_cli/`` and compares
+Every case runs one ``hiss`` command in-process through
+``repro.cli.main([command, ...])`` over the fixed inputs in ``data/golden_cli/`` and compares
 stdout, stderr, the exit status and every file the command writes with
 ``data/golden_cli/expected.json``: HTML pages and ``.folded`` files by
 SHA-256 and length, text verbatim.  Other tests check that two renders in
@@ -31,13 +31,10 @@ import sys
 
 import pytest
 
+from repro.cli import main as hiss_main
 from repro.obsd import FlightRing
-from repro.obsd.cli import main as slo_main
 from repro.obsd.rollup import RollupStore
-from repro.profiling.cli import main as report_main
-from repro.search.cli import main as sweep_main
 from repro.telemetry import Histogram
-from repro.telemetry.cli import main as trace_main
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "golden_cli")
 EXPECTED = os.path.join(DATA, "expected.json")
@@ -46,61 +43,54 @@ OPS_CAPTURE = os.path.join(
     os.path.dirname(__file__), "..", "obsd", "data", "ops_capture.jsonl"
 )
 
-PROGRAMS = {
-    "hiss-report": report_main,
-    "hiss-slo": slo_main,
-    "hiss-trace": trace_main,
-    "hiss-sweep": sweep_main,
-}
-
-#: (case id, program, argv, files the command writes).  Paths are
+#: (case id, command, argv, files the command writes).  Paths are
 #: relative to a scratch copy of the inputs so no output names a tmp dir.
 CASES = [
-    ("report-render", "hiss-report",
+    ("report-render", "report",
      ["render", "profile.json", "-o", "report.html", "--collapsed", "flame.folded"],
      ["report.html", "flame.folded"]),
-    ("report-summary", "hiss-report", ["summary", "profile.json"], []),
-    ("report-validate", "hiss-report", ["validate", "profile.json"], []),
-    ("report-render-not-a-profile", "hiss-report",
+    ("report-summary", "report", ["summary", "profile.json"], []),
+    ("report-validate", "report", ["validate", "profile.json"], []),
+    ("report-render-not-a-profile", "report",
      ["render", "not_a_document.json", "-o", "x.html"], []),
-    ("report-missing", "hiss-report", ["summary", "missing.json"], []),
-    ("report-invalid-json", "hiss-report", ["summary", "invalid.json"], []),
-    ("slo-evaluate-html", "hiss-slo",
+    ("report-missing", "report", ["summary", "missing.json"], []),
+    ("report-invalid-json", "report", ["summary", "invalid.json"], []),
+    ("slo-evaluate-html", "slo",
      ["evaluate", "--ops", "ops_capture.jsonl", "--slo", "slos.json", "-o", "slo.html"],
      ["slo.html"]),
-    ("slo-evaluate-json", "hiss-slo",
+    ("slo-evaluate-json", "slo",
      ["evaluate", "--ops", "ops_capture.jsonl", "--slo", "slos.json", "--json"], []),
-    ("slo-diff-html", "hiss-slo",
+    ("slo-diff-html", "slo",
      ["diff", "job_a.json", "job_b.json", "-o", "diff.html"], ["diff.html"]),
-    ("slo-diff-json", "hiss-slo", ["diff", "job_a.json", "job_b.json", "--json"], []),
-    ("slo-validate", "hiss-slo", ["validate", "slos.json"], []),
-    ("slo-default-spec", "hiss-slo", ["default-spec"], []),
-    ("slo-missing", "hiss-slo", ["validate", "missing.json"], []),
-    ("slo-invalid-json", "hiss-slo", ["diff", "invalid.json", "job_b.json"], []),
-    ("slo-diff-not-a-trace", "hiss-slo", ["diff", "not_a_document.json", "job_b.json"], []),
-    ("postmortem-render", "hiss-slo",
+    ("slo-diff-json", "slo", ["diff", "job_a.json", "job_b.json", "--json"], []),
+    ("slo-validate", "slo", ["validate", "slos.json"], []),
+    ("slo-default-spec", "slo", ["default-spec"], []),
+    ("slo-missing", "slo", ["validate", "missing.json"], []),
+    ("slo-invalid-json", "slo", ["diff", "invalid.json", "job_b.json"], []),
+    ("slo-diff-not-a-trace", "slo", ["diff", "not_a_document.json", "job_b.json"], []),
+    ("postmortem-render", "slo",
      ["postmortem", "render", "pm/pm-000000-manual.json", "-o", "postmortem.html"],
      ["postmortem.html"]),
-    ("postmortem-summary", "hiss-slo",
+    ("postmortem-summary", "slo",
      ["postmortem", "summary", "pm/pm-000000-manual.json"], []),
-    ("postmortem-validate", "hiss-slo",
+    ("postmortem-validate", "slo",
      ["postmortem", "validate", "pm/pm-000000-manual.json", "not_a_document.json"], []),
-    ("postmortem-list", "hiss-slo", ["postmortem", "list", "pm"], []),
-    ("postmortem-render-not-a-bundle", "hiss-slo",
+    ("postmortem-list", "slo", ["postmortem", "list", "pm"], []),
+    ("postmortem-render-not-a-bundle", "slo",
      ["postmortem", "render", "not_a_document.json", "-o", "x.html"], []),
-    ("postmortem-missing", "hiss-slo", ["postmortem", "summary", "missing.json"], []),
-    ("postmortem-invalid-json", "hiss-slo",
+    ("postmortem-missing", "slo", ["postmortem", "summary", "missing.json"], []),
+    ("postmortem-invalid-json", "slo",
      ["postmortem", "summary", "invalid.json"], []),
-    ("trace-validate", "hiss-trace", ["validate", "chrome.json"], []),
-    ("trace-validate-spans", "hiss-trace", ["validate", "--spans", "job_a.json"], []),
-    ("trace-summary", "hiss-trace", ["summary", "chrome.json"], []),
-    ("trace-timeline", "hiss-trace",
+    ("trace-validate", "trace", ["validate", "chrome.json"], []),
+    ("trace-validate-spans", "trace", ["validate", "--spans", "job_a.json"], []),
+    ("trace-summary", "trace", ["summary", "chrome.json"], []),
+    ("trace-timeline", "trace",
      ["timeline", "chrome.json", "--track", "core 0", "--limit", "0"], []),
-    ("trace-missing", "hiss-trace", ["summary", "missing.json"], []),
-    ("trace-invalid-json", "hiss-trace", ["summary", "invalid.json"], []),
-    ("sweep-report-html", "hiss-sweep",
+    ("trace-missing", "trace", ["summary", "missing.json"], []),
+    ("trace-invalid-json", "trace", ["summary", "invalid.json"], []),
+    ("sweep-report-html", "sweep",
      ["report", "--state", "sweep.jsonl", "--html", "frontier.html"], ["frontier.html"]),
-    ("sweep-validate", "hiss-sweep", ["validate", "--state", "sweep.jsonl"], []),
+    ("sweep-validate", "sweep", ["validate", "--state", "sweep.jsonl"], []),
 ]
 
 
@@ -108,15 +98,15 @@ def _digest(data: bytes) -> dict:
     return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
-def run_case(workdir: str, program: str, argv, writes) -> dict:
-    """Run one CLI in ``workdir``; return what it printed, exited and wrote."""
+def run_case(workdir: str, command: str, argv, writes) -> dict:
+    """Run one command in ``workdir``; return what it printed, exited and wrote."""
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
-                status = PROGRAMS[program](list(argv))
+                status = hiss_main([command, *argv])
             except SystemExit as exit_:
                 status = exit_.code
         files = {}
@@ -163,8 +153,8 @@ def _canonical(document) -> bytes:
 def record_all(workdir: str) -> dict:
     return {
         "cases": {
-            case_id: run_case(workdir, program, argv, writes)
-            for case_id, program, argv, writes in CASES
+            case_id: run_case(workdir, command, argv, writes)
+            for case_id, command, argv, writes in CASES
         },
         "rings": {
             "rollup": _digest(_canonical(rollup_state())),
@@ -195,10 +185,10 @@ def test_every_case_is_pinned(golden):
 
 
 @pytest.mark.parametrize(
-    "case_id,program,argv,writes", CASES, ids=[case[0] for case in CASES]
+    "case_id,command,argv,writes", CASES, ids=[case[0] for case in CASES]
 )
-def test_cli_output_matches_golden(golden, workdir, case_id, program, argv, writes):
-    assert run_case(workdir, program, argv, writes) == golden["cases"][case_id]
+def test_cli_output_matches_golden(golden, workdir, case_id, command, argv, writes):
+    assert run_case(workdir, command, argv, writes) == golden["cases"][case_id]
 
 
 def test_rollup_decimation_matches_golden(golden):
@@ -320,7 +310,7 @@ def _build_inputs(directory: str) -> None:  # pragma: no cover - manual tool
     write_chrome_trace(tracer, path("chrome.json"))
 
     with tempfile.TemporaryDirectory() as scratch:
-        run_case(scratch, "hiss-sweep",
+        run_case(scratch, "sweep",
                  ["run", "--state", "sweep.jsonl", "--budget", "8", "--round-size", "4",
                   "--horizon-ms", "1", "--seed", "0"], [])
         for name in ("sweep.jsonl", "sweep.jsonl.archive.json"):

@@ -9,7 +9,7 @@ rendering plus its run, event and drop counts:
   dropped).  Wall times, worker pids, trace ids and span ids differ from
   serve to serve and are stripped; runs are sorted by label, so the one
   digest must hold at ``jobs=1`` (in-process) and ``jobs=2`` (pool).
-* ``cli_trace`` — the ``traceEvents`` of ``hiss-experiments fig4
+* ``cli_trace`` — the ``traceEvents`` of ``hiss experiments fig4
   --quick --horizon-ms 2 --trace`` at ``--jobs 1``, hashed as each tid's
   event sequence with tids in ascending order.  Tids come from sorted
   track names, so they are fixed.  The interleaving of runs in the file
@@ -81,7 +81,7 @@ def produce_served_sim(jobs: int) -> dict:
 
 
 def produce_cli_trace() -> dict:
-    """``hiss-experiments fig4 --quick --horizon-ms 2 --trace`` at ``--jobs 1``."""
+    """``hiss experiments fig4 --quick --horizon-ms 2 --trace`` at ``--jobs 1``."""
     from repro.experiments.run_all import main
 
     clear_cache()  # a cached run is not re-simulated, so not traced

@@ -1,7 +1,7 @@
 """One HTTP client in ``src/``: :class:`repro.service.client.ServiceClient`.
 
-Every tool that talks to a daemon (``hiss-client``, ``hiss-top``,
-``hiss-slo --url``) goes through ``ServiceClient``, so each one keeps its
+Every tool that talks to a daemon (``hiss client``, ``hiss top``,
+``hiss slo --url``) goes through ``ServiceClient``, so each one keeps its
 connection alive, words an unreachable daemon the same way and ignores
 proxy variables alike.  This scans ``src/`` for imports of the stdlib
 HTTP client modules and fails on any module but ``repro/service/client.py``

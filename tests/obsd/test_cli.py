@@ -1,4 +1,4 @@
-"""hiss-slo CLI: offline evaluation, validation, diffing, determinism."""
+"""hiss slo CLI: offline evaluation, validation, diffing, determinism."""
 
 import json
 import pathlib
@@ -100,6 +100,19 @@ class TestEvaluate:
             main(["evaluate"])
         with pytest.raises(SystemExit):
             main(["evaluate", "--ops", str(FIXTURE), "--url", "http://x"])
+
+    def test_url_with_slo_is_a_usage_error_that_reads_no_file(self, tmp_path, capsys):
+        """The daemon reports its own objectives, so a spec file given with
+        ``--url`` would be silently ignored: refuse it before any file or
+        daemon is touched (the file does not exist; the port is closed)."""
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", "--url", "http://127.0.0.1:1", "--slo", missing])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hiss slo evaluate")
+        assert "--slo applies to --ops replays" in err
+        assert "cannot read" not in err and "missing.json" not in err
 
 
 class TestValidate:

@@ -1,4 +1,4 @@
-"""End-to-end tests for the ``hiss-sweep`` console entry point."""
+"""End-to-end tests for the ``hiss sweep`` console entry point."""
 
 import json
 

@@ -318,5 +318,5 @@ class TestCli:
         assert client_main(["--url", url, "health"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"hiss client: error: {url}: ") and err.count("\n") == 1
         assert "Connection refused" in err

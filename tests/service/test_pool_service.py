@@ -109,6 +109,53 @@ class TestBatchCrashIsolation:
         assert governor.predicted_core_s == pytest.approx(predicted)
         assert governor.snapshot()["predicted_core_s"] == governor.predicted_core_s
 
+    def test_each_pending_key_is_predicted_once_and_charged_before_any_run(
+        self, monkeypatch
+    ):
+        import repro.core.planner as planner
+        from repro.core.runcache import CostModel
+
+        model = set_cost_ledger(None)
+        model.observe(make_run_key("x264", "bfs", True, SystemConfig(), HORIZON), 0.05)
+        governor = ServiceGovernor(threshold=10.0, capacity_cores=2)
+        store, scheduler, _ = make_scheduler(jobs=1, governor=governor)
+        spec = fig4_spec()
+        run_keys, _ = plan_spec(spec)
+        job = submit(store, spec, run_keys, dedupe_key_for(spec, run_keys))
+
+        predicted_keys = []
+        predict = CostModel.predict
+
+        def counting_predict(self, key):
+            predicted_keys.append(key)
+            return predict(self, key)
+
+        monkeypatch.setattr(CostModel, "predict", counting_predict)
+        charged_at_first_run = []
+        run_task = planner.run_task
+
+        def observed_run_task(*task):
+            if not charged_at_first_run:
+                charged_at_first_run.append(governor.predicted_core_s)
+            return run_task(*task)
+
+        monkeypatch.setattr(planner, "run_task", observed_run_task)
+        reports = []
+        execute_batch = scheduler._execute_batch
+        monkeypatch.setattr(
+            scheduler, "_execute_batch",
+            lambda *args: reports.append(execute_batch(*args)) or reports[-1],
+        )
+
+        scheduler._run_batch([job.id])
+
+        assert job.state == DONE
+        (report,) = reports
+        assert sorted(map(repr, predicted_keys)) == sorted(map(repr, run_keys))
+        assert report.predicted_core_s > 0.0
+        assert governor.predicted_core_s == report.predicted_core_s
+        assert charged_at_first_run == [report.predicted_core_s]
+
     def test_unobserved_model_charges_only_actual_work(self):
         model = set_cost_ledger(None)
         assert model.observations == 0

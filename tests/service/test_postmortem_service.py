@@ -208,8 +208,7 @@ class TestOneWatcher:
             ),
         )
         rounds = 20
-        # One event time for all: the threads interleave, and a trigger
-        # debounces an occurrence whose time runs backwards.
+        # One event time for all (interleaved times are the next test's).
         at_s = 100.0
 
         def observe():
@@ -244,6 +243,40 @@ class TestOneWatcher:
         rows = list_bundles(str(tmp_path / "pm"))
         assert sorted(int(row["id"].split("-")[1]) for row in rows) == list(range(captures))
         assert sorted(row["kind"] for row in rows) == ["manual"] * 40 + ["slo_alert"] * 60
+
+    def test_concurrent_manual_captures_with_interleaved_times_are_all_written(
+        self, tmp_path
+    ):
+        """Two HTTP threads' request times interleave (3000+i and 4000+i):
+        a manual trigger without a debounce admits every one of them."""
+        recorder = FlightRecorder(
+            PostmortemStore(str(tmp_path / "pm"), keep=1000),
+            triggers=(
+                TriggerSpec("manual", "manual", debounce_s=0.0, max_per_hour=1000),
+            ),
+        )
+        rounds = 50
+        refused = []
+
+        def manual(base):
+            for index in range(rounds):
+                if recorder.trigger_manual("stress", at_s=base + index) is None:
+                    refused.append(base + index)
+
+        threads = [threading.Thread(target=manual, args=(base,)) for base in (3000.0, 4000.0)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert refused == []
+        assert recorder.captured == 2 * rounds
+        assert len(list_bundles(str(tmp_path / "pm"))) == 2 * rounds
 
 
 class TestManualTrigger:

@@ -232,7 +232,7 @@ class TestEndToEnd:
         env["PYTHONPATH"] = str(repo_src) + os.pathsep + env.get("PYTHONPATH", "")
         subprocess.run(
             [
-                sys.executable, "-m", "repro.experiments.run_all",
+                sys.executable, "-m", "repro", "experiments",
                 "fig4", "--quick", "--horizon-ms", "1", "--json", str(cli_path),
             ],
             check=True, env=env, stdout=subprocess.DEVNULL, timeout=600,

@@ -1,4 +1,4 @@
-"""hiss-top plain rendering against a fixed, checked-in ops document.
+"""hiss top rendering against a fixed, checked-in ops document.
 
 ``render_ops`` is a pure function, so a canned ``/v1/ops`` document plus
 a golden frame pin the whole console layout — any formatting drift shows
@@ -47,7 +47,7 @@ class TestTopGoldenFrame:
         assert "slo " not in frame
         assert "objective(s)" not in frame
         # Everything else still renders.
-        assert "hiss-top" in frame and "latency" in frame
+        assert "hiss top" in frame and "latency" in frame
 
     def test_history_pane_caps_at_three_rows(self):
         doc = _fixture()
@@ -59,3 +59,24 @@ class TestTopGoldenFrame:
         frame = render_ops(doc)
         assert "slo-5" in frame and "slo-3" in frame
         assert "slo-2" not in frame
+
+
+class TestLiveLoop:
+    def test_redraws_each_poll_until_interrupted(self, monkeypatch, capsys):
+        """The live loop homes the cursor, clears and draws one frame per
+        poll; Ctrl-C ends it with exit 0."""
+        from repro.service import top
+        from repro.service.client import ServiceClient
+
+        polls = []
+
+        def ops(client):
+            if len(polls) == 2:
+                raise KeyboardInterrupt
+            polls.append(client)
+            return _fixture()
+
+        monkeypatch.setattr(ServiceClient, "ops", ops)
+        assert top.main(["--url", "http://127.0.0.1:1", "--interval", "0"]) == 0
+        frame = render_ops(_fixture())
+        assert capsys.readouterr().out == ("\x1b[H\x1b[2J" + frame) * 2

@@ -4,7 +4,7 @@ The ISSUE's acceptance behaviors: a served job's trace covers its whole
 wall-clock life with no gaps at stage boundaries, worker-side sim spans
 carry the parent trace id across the process pool, the stitched Chrome
 trace is valid, tracing on/off does not change served result bytes, and
-the ops surfaces (``/v1/ops``, JSONL log, ``hiss-top``) reflect reality.
+the ops surfaces (``/v1/ops``, JSONL log, ``hiss top``) reflect reality.
 """
 
 import io
@@ -263,7 +263,7 @@ class TestOpsSurfaces:
     def test_render_ops_handles_empty_service(self):
         with _serve() as svc:
             frame = render_ops(ops_document(svc))
-            assert "hiss-top" in frame and "(none yet)" in frame
+            assert "hiss top" in frame and "(none yet)" in frame
 
     def test_metrics_gains_trace_and_disk_gauges(self, tmp_path):
         with _serve(cache_dir=str(tmp_path / "cache")) as svc:

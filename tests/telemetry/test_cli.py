@@ -1,4 +1,4 @@
-"""Tests for the hiss-trace CLI and the hiss-experiments --trace flag."""
+"""Tests for the hiss trace CLI and the hiss experiments --trace flag."""
 
 import json
 

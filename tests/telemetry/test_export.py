@@ -1,5 +1,5 @@
 """Tests for the Chrome-trace exporter, validator, and the text timelines
-``hiss-trace`` renders from an exported document."""
+``hiss trace`` renders from an exported document."""
 
 import json
 
@@ -89,7 +89,7 @@ class TestValidator:
 
 
 class TestTextTimelines:
-    """What ``hiss-trace summary`` and ``timeline`` print for an export."""
+    """What ``hiss trace summary`` and ``timeline`` print for an export."""
 
     @staticmethod
     def _render(tracer, tmp_path, capsys, *argv):
