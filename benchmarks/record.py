@@ -296,8 +296,9 @@ def record_service(figures, args) -> dict:
     service_jobs = args.jobs if args.jobs and args.jobs != 1 else 2
     shutdown_shared_pool()
     configure_pool(start_method="spawn")
-    with HissService(port=0, jobs=service_jobs, qos_threshold=10.0) as svc:
-        client = ServiceClient(svc.url, timeout_s=60)
+    with HissService(port=0, jobs=service_jobs, qos_threshold=10.0) as svc, ServiceClient(
+        svc.url, timeout_s=60
+    ) as client:
         doc["pool"] = record_pool_probe(client, figures[0], args)
         for experiment_id in figures:
             body = client.submit_with_backoff(

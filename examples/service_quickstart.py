@@ -73,6 +73,7 @@ def main() -> int:
           f"runs executed: {counters.get('service.runs.executed', 0)}, "
           f"deduplicated submissions: {counters.get('service.jobs.deduplicated', 0)}")
 
+    client.close()
     service.stop()
     print("drained and stopped.")
     return 0

@@ -152,7 +152,9 @@ def run_task(key: RunKey, trace_capacity: int, profile: bool = False):
     pipe: its label (``run``), ``wall_start_s``/``wall_end_s`` and
     ``worker_pid``; ``events`` — ``None`` unless tracing
     (``trace_capacity`` > 0) captured something, else the run's first
-    ``trace_capacity`` events; ``events_dropped``, how many events the run
+    ``trace_capacity`` events, the tracer's own list handed over
+    (:meth:`~repro.telemetry.RunTracer.take_events`), not a copy;
+    ``events_dropped``, how many events the run
     had past those; the tracer's ``counters`` and ``histograms``; and
     ``profile``, the attribution document with ``profile=True`` (else
     ``None``).  Neither tracing nor profiling changes the metrics.
@@ -172,7 +174,7 @@ def run_task(key: RunKey, trace_capacity: int, profile: bool = False):
     wall_end_s = time.time()
     events, dropped, counters, histograms = None, 0, {}, {}
     if tracer is not None:
-        events = list(tracer.events())
+        events = tracer.take_events()
         dropped = tracer.dropped
         counters = {name: c.value for name, c in tracer.metrics.counters.items()}
         histograms = tracer.metrics.histograms

@@ -4,7 +4,9 @@ A postmortem bundle is everything an engineer needs to work an incident
 *after* the moment is gone, in one JSON file: the trigger that fired,
 the build that was running (version + code fingerprint + SystemConfig),
 the flight ring's tail of diagnostics, lifecycle trace documents for the
-implicated jobs, the top-K blame-ledger rows from any profiled runs,
+implicated jobs (spans and per-run event counts; the ring's ``sim.tail``
+entries carry each run's last events, so no per-run event list is
+copied), the top-K blame-ledger rows from any profiled runs,
 the ``/metrics`` snapshot, the active-alert document, and a trailing
 rollup window.  Every section is data the daemon already had — capture
 copies, it never recomputes — and every timestamp is an event timestamp,

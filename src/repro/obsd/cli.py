@@ -83,7 +83,8 @@ def _from_daemon(url: str, call: Callable[[Any], Any]) -> Any:
     from ..service.client import DAEMON_ERRORS, ServiceClient, daemon_error
 
     try:
-        return call(ServiceClient(url))
+        with ServiceClient(url) as client:
+            return call(client)
     except DAEMON_ERRORS as error:
         daemon_error(PROG, url, error)
         return None

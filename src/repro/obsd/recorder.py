@@ -133,18 +133,25 @@ class FlightRecorder:
                 jobs=[job_id] if job_id else [],
             )
 
-    def note_run(self, info: Dict[str, Any], events, profile_doc) -> None:
-        """Scheduler hook: ring the tail of one executed run's diagnostics."""
+    def note_run(self, info: Dict[str, Any], events: Sequence, profile_doc) -> None:
+        """Scheduler hook: ring the tail of one executed run's diagnostics.
+
+        ``events`` are the run's kept in-sim events, oldest first; only
+        the last ``_SIM_TAIL_EVENTS`` become served dicts
+        (:func:`repro.service.obs.sim_event_dicts`).
+        """
+        from ..service.obs import sim_event_dicts
+
         ts_s = float(info.get("wall_end_s") or 0.0)
+        tail = {
+            "run": info.get("run"),
+            "worker_pid": info.get("worker_pid"),
+            "wall_start_s": info.get("wall_start_s"),
+            "wall_end_s": info.get("wall_end_s"),
+            "events_total": len(events),
+            "events": sim_event_dicts(events[-_SIM_TAIL_EVENTS:]),
+        }
         with self._lock:
-            tail = {
-                "run": info.get("run"),
-                "worker_pid": info.get("worker_pid"),
-                "wall_start_s": info.get("wall_start_s"),
-                "wall_end_s": info.get("wall_end_s"),
-                "events_total": len(events) if events is not None else 0,
-                "events": list(events[-_SIM_TAIL_EVENTS:]) if events else [],
-            }
             self.ring.append(ts_s, "sim.tail", tail)
             samples = (profile_doc or {}).get("samples")
             if isinstance(samples, dict) and samples.get("rows"):
@@ -305,7 +312,9 @@ class FlightRecorder:
                 implicated = terminal[:_FALLBACK_JOBS]
             profile_docs: List[Dict[str, Any]] = []
             for job in implicated:
-                jobs_section.append(build_trace_document(job))
+                # Spans and per-run counts only: the ring's sim.tail
+                # entries already hold each run's last events.
+                jobs_section.append(build_trace_document(job, decode=None))
                 profile_docs.extend(job.profiles)
             blame_rows = blame_top_k(profile_docs)
             metrics_doc = service.metrics_document()

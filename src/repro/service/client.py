@@ -10,7 +10,9 @@ latency rather than collapse.
 Each thread keeps one HTTP/1.1 connection to the daemon and sends every
 call over it, so a call pays connection set-up (and the daemon a new
 handler thread) once, not per request — the paper's mitigations make the
-same trade for a request's fixed host costs.
+same trade for a request's fixed host costs.  :meth:`ServiceClient.close`
+(or leaving a ``with ServiceClient(url) as client:`` block) closes every
+thread's connection.
 
 CLI::
 
@@ -121,6 +123,25 @@ class ServiceClient:
         self._path_prefix = url.path
         #: Each thread's connection: threads never interleave on a socket.
         self._local = threading.local()
+        #: Every connection any thread made, so :meth:`close` reaches all.
+        self._connections: List[http.client.HTTPConnection] = []
+        self._connections_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the connection of every thread that used this client.
+
+        A call made afterwards opens a fresh connection, so closing never
+        breaks the client; a call in flight on another thread fails.
+        """
+        with self._connections_lock:
+            for connection in self._connections:
+                connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Transport
@@ -171,6 +192,8 @@ class ServiceClient:
             connection = self._local.connection = self._connection_class(
                 self._netloc, timeout=timeout
             )
+            with self._connections_lock:
+                self._connections.append(connection)
         reused = connection.sock is not None
         if connection.timeout != timeout:
             connection.timeout = timeout
@@ -505,3 +528,5 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DAEMON_ERRORS as error:
         # TimeoutError (``--wait`` ran out) is an OSError too.
         return daemon_error(PROG, args.url, error)
+    finally:
+        client.close()

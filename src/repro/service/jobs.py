@@ -158,7 +158,9 @@ class Job:
     batch_size: int = 0
     #: Runs simulated on this job's behalf: per run its label, the trace
     #: ids of the jobs that planned it, its wall-clock window, worker pid,
-    #: and (tracing on) the captured in-sim event stream.
+    #: how many in-sim events it kept and dropped, and (tracing on) the
+    #: kept events as one blob (:func:`repro.service.obs.encode_events`).
+    #: Jobs that planned the same run share its one record.
     sim_runs: List[dict] = field(default_factory=list)
     #: With ``spec.profile``, one ``hiss.profile.run/1`` document per
     #: simulated run (served as a bundle at ``/v1/jobs/<id>/profile``).

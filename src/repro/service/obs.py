@@ -14,7 +14,10 @@ Three deliverables live here:
 * :func:`build_trace_document` / :func:`build_stitched_trace` — the span
   JSON served by ``GET /v1/jobs/<id>/trace`` and its Chrome-trace
   (``?format=chrome``) form, with worker-side in-sim spans merged in
-  under the job's trace id.
+  under the job's trace id.  Each run's kept events are stored once, as
+  the compact blob :func:`encode_events` makes and :func:`decode_events`
+  reads, and :func:`trace_document_chunks` streams the span document
+  one run's events at a time.
 * :func:`ops_document` — the ``GET /v1/ops`` snapshot ``hiss top``
   renders: queue, governor, workers, cache hit rates, tail latencies,
   tracer saturation, recent jobs.
@@ -26,11 +29,13 @@ Three deliverables live here:
 from __future__ import annotations
 
 import json
+import marshal
 import os
+import secrets
 import sys
 import threading
 import time
-from typing import Any, Dict, IO, List, Optional
+from typing import Any, Callable, Dict, IO, Iterator, List, Optional, Sequence
 
 from ..telemetry.spans import (
     SPAN_SCHEMA,
@@ -45,7 +50,10 @@ __all__ = [
     "OpsLog",
     "build_stitched_trace",
     "build_trace_document",
+    "decode_events",
+    "encode_events",
     "ops_document",
+    "trace_document_chunks",
 ]
 
 
@@ -167,6 +175,52 @@ class OpsLog:
 
 
 # ----------------------------------------------------------------------
+# The stored form of a run's kept events
+# ----------------------------------------------------------------------
+def encode_events(events: Sequence) -> Optional[bytes]:
+    """One run's kept :class:`~repro.telemetry.TraceEvent` list as one
+    immutable blob (None when it kept none): ``marshal`` of plain tuples,
+    about 55 bytes an event, shared by every job that planned the run.
+
+    ``marshal`` takes no tuple subclass, hence ``tuple(event)``; it keeps
+    every int, float, string and dict (in insertion order) exactly, so a
+    decoded event serializes to the bytes its live twin would.  Only
+    :func:`decode_events` reads a blob, and only blobs this process
+    wrote.
+    """
+    if not events:
+        return None
+    return marshal.dumps([tuple(event) for event in events])
+
+
+def decode_events(blob: Optional[bytes]) -> List[Dict[str, Any]]:
+    """The served event dicts of one run's stored events
+    (:func:`encode_events`)."""
+    return sim_event_dicts(marshal.loads(blob)) if blob else []
+
+
+def sim_event_dicts(events) -> List[Dict[str, Any]]:
+    """Serialize in-sim events (:class:`~repro.telemetry.TraceEvent`s or
+    their decoded tuples) for a job trace document (plain JSON, ns
+    timestamps preserved).
+
+    An event's ``args`` dict is shared, not copied: nothing mutates it
+    once the event is built."""
+    served = []
+    for phase, name, category, track, ts_ns, dur_ns, args in events:
+        doc = {
+            "ph": phase, "name": name, "cat": category, "track": track,
+            "ts_ns": ts_ns,
+        }
+        if dur_ns:
+            doc["dur_ns"] = dur_ns
+        if args:
+            doc["args"] = args
+        served.append(doc)
+    return served
+
+
+# ----------------------------------------------------------------------
 # Job trace documents
 # ----------------------------------------------------------------------
 def _span(
@@ -189,7 +243,9 @@ def _span(
     ).as_dict()
 
 
-def build_trace_document(job: Job) -> Dict[str, Any]:
+def build_trace_document(
+    job: Job, decode: Optional[Callable[[Optional[bytes]], Any]] = decode_events
+) -> Dict[str, Any]:
     """The span-JSON document for one job (``GET /v1/jobs/<id>/trace``).
 
     Stage spans chain on shared timestamps (no boundary gaps); each
@@ -197,6 +253,12 @@ def build_trace_document(job: Job) -> Dict[str, Any]:
     ``admission.backoff`` span; each run a pool worker simulated on this
     job's behalf appears as a ``sim.run`` span carrying the parent trace
     id, with the worker's in-sim event stream attached under ``sim``.
+
+    ``decode`` turns a run's stored events (:func:`encode_events`) into
+    its ``sim`` entry's ``events`` value, :func:`decode_events` by
+    default; ``decode=None`` leaves that key out, as a postmortem bundle
+    does (the ``sim.run`` spans still count each run's kept and dropped
+    events).
     """
     trace = job.trace_id
     spans: List[Dict[str, Any]] = []
@@ -283,7 +345,7 @@ def build_trace_document(job: Job) -> Dict[str, Any]:
             args={
                 "run": run.get("run"),
                 "worker_pid": run.get("worker_pid"),
-                "events": len(run.get("events") or []),
+                "events": run.get("events_kept", 0),
                 "events_dropped": run.get("events_dropped", 0),
                 "shared_with_traces": [
                     t for t in run.get("trace_ids", []) if t != trace
@@ -292,18 +354,18 @@ def build_trace_document(job: Job) -> Dict[str, Any]:
         )
         if span:
             spans.append(span)
-        sim_section.append(
-            {
-                "run": run.get("run"),
-                "trace_id": trace,
-                "parent_span_id": f"sim-{run_index}",
-                "wall_start_s": run.get("wall_start_s"),
-                "wall_end_s": run.get("wall_end_s"),
-                "worker_pid": run.get("worker_pid"),
-                "events_dropped": run.get("events_dropped", 0),
-                "events": run.get("events") or [],
-            }
-        )
+        entry = {
+            "run": run.get("run"),
+            "trace_id": trace,
+            "parent_span_id": f"sim-{run_index}",
+            "wall_start_s": run.get("wall_start_s"),
+            "wall_end_s": run.get("wall_end_s"),
+            "worker_pid": run.get("worker_pid"),
+            "events_dropped": run.get("events_dropped", 0),
+        }
+        if decode is not None:
+            entry["events"] = decode(run.get("events"))
+        sim_section.append(entry)
 
     spans.sort(key=lambda s: (s["start_s"], s["span_id"]))
     return {
@@ -322,24 +384,29 @@ def build_stitched_trace(job: Job) -> Dict[str, Any]:
     return stitched_chrome_trace(build_trace_document(job), label=f"hiss {job.id}")
 
 
-def sim_event_dicts(events) -> List[Dict[str, Any]]:
-    """Serialize a run's in-sim :class:`~repro.telemetry.TraceEvent` list
-    for a job trace document (plain JSON, ns timestamps preserved).
+def trace_document_chunks(job: Job) -> Iterator[bytes]:
+    """The bytes of ``json.dumps(build_trace_document(job)) + "\n"``, in
+    pieces that hold one run's events each.
 
-    An event's ``args`` dict is shared, not copied: nothing mutates it
-    once the event is built."""
-    served = []
-    for phase, name, category, track, ts_ns, dur_ns, args in events:
-        doc = {
-            "ph": phase, "name": name, "cat": category, "track": track,
-            "ts_ns": ts_ns,
-        }
-        if dur_ns:
-            doc["dur_ns"] = dur_ns
-        if args:
-            doc["args"] = args
-        served.append(doc)
-    return served
+    The document is built once with a random placeholder string standing
+    in for each run's event list; its text is split on the placeholder,
+    and each run's events are decoded and serialized into their gap only
+    when the reply reaches them.  So a served trace never holds the whole
+    document, nor more than one run's decoded events.
+    """
+    placeholder = secrets.token_hex(16)
+    blobs: List[Optional[bytes]] = []
+
+    def defer(blob: Optional[bytes]) -> str:
+        blobs.append(blob)
+        return placeholder
+
+    text = json.dumps(build_trace_document(job, decode=defer)) + "\n"
+    pending, *gaps = text.split(f'"{placeholder}"')
+    for blob, after in zip(blobs, gaps):
+        yield (pending + json.dumps(decode_events(blob))).encode("utf-8")
+        pending = after
+    yield pending.encode("utf-8")
 
 
 # ----------------------------------------------------------------------

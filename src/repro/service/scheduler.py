@@ -51,7 +51,7 @@ from ..core.runcache import RunKey, run_key_digest
 from ..telemetry import MetricsRegistry
 from .admission import AdmissionController, ServiceGovernor
 from .jobs import CANCELLED, DONE, FAILED, RUNNING, Job, JobStore
-from .obs import OpsLog, sim_event_dicts
+from .obs import OpsLog, encode_events
 
 __all__ = ["JobScheduler", "dedupe_key_for", "plan_spec"]
 
@@ -346,8 +346,9 @@ class JobScheduler:
         """Fan the batch's runs out and attach each one to its jobs.
 
         A run comes back with its wall-clock window, worker pid and (with
-        tracing on) its first ``TRACE_EVENTS_PER_RUN`` events; the trace
-        ids of the jobs that planned it come from ``needed_by``.  Keys in
+        tracing on) its first ``TRACE_EVENTS_PER_RUN`` events, stored once
+        as an :func:`~repro.service.obs.encode_events` blob; the trace ids
+        of the jobs that planned it come from ``needed_by``.  Keys in
         ``profile_keys`` come back with an attribution document, which
         lands on the ``profiles`` of every interested job that asked.
         """
@@ -355,24 +356,27 @@ class JobScheduler:
         def on_run(key: RunKey, info: dict) -> None:
             jobs = needed_by.get(key, [])
             profile_doc = info["profile"]
-            events = info["events"]
-            serialized = sim_event_dicts(events) if events is not None else None
+            events = info["events"] or ()
             dropped = info["events_dropped"]
             self.trace_dropped += dropped
+            # One record per run, shared by every job that planned it;
+            # nothing mutates it once stored.
             run_doc = {
                 "run": info["run"],
                 "trace_ids": [job.trace_id for job in jobs],
                 "wall_start_s": info["wall_start_s"],
                 "wall_end_s": info["wall_end_s"],
                 "worker_pid": info["worker_pid"],
+                "events_kept": len(events),
                 "events_dropped": dropped,
+                "events": encode_events(events),
             }
             for job in jobs:
-                job.sim_runs.append(dict(run_doc, events=serialized))
+                job.sim_runs.append(run_doc)
                 if profile_doc is not None and job.spec.profile:
                     job.profiles.append(profile_doc)
             if self.flight is not None:
-                self.flight.note_run(run_doc, serialized, profile_doc)
+                self.flight.note_run(run_doc, events, profile_doc)
             self.ops_log.log(
                 "run.executed", run=run_doc["run"], traces=run_doc["trace_ids"],
                 worker_pid=run_doc["worker_pid"],

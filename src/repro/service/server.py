@@ -13,9 +13,11 @@
 ``GET /v1/jobs``                      list live jobs (summaries)
 ``GET /v1/jobs/<id>``                 one job's status document
 ``GET /v1/jobs/<id>/result``          the CLI-equivalent ``--json`` document
-``GET /v1/jobs/<id>/trace``           the job's lifecycle span document
-                                      (``?format=chrome`` for a stitched
-                                      chrome://tracing export)
+``GET /v1/jobs/<id>/trace``           the job's lifecycle span document,
+                                      streamed as a chunked reply one run's
+                                      events at a time (``?format=chrome``
+                                      for a stitched chrome://tracing
+                                      export)
 ``GET /v1/jobs/<id>/profile``         the job's interference-attribution
                                       bundle (submit with ``profile:
                                       true``; render with ``hiss report``)
@@ -49,13 +51,14 @@ boundary" shape the paper argues for in the IOMMU's bounded PPR queue.
 
 from __future__ import annotations
 
+import itertools
 import json
 import socket
 import threading
 import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 from urllib.parse import urlparse, parse_qs
 
 from collections import OrderedDict
@@ -70,7 +73,7 @@ from ..telemetry import (
 from ..telemetry.spans import clean_trace_id, new_trace_id
 from .admission import AdmissionController, RejectedJob, ServiceGovernor
 from .jobs import DONE, TERMINAL_STATES, BadSpec, JobSpec, JobStore
-from .obs import OpsLog, build_stitched_trace, build_trace_document, ops_document
+from .obs import OpsLog, build_stitched_trace, ops_document, trace_document_chunks
 from .scheduler import JobScheduler, dedupe_key_for, plan_spec
 
 __all__ = ["HissService"]
@@ -492,6 +495,8 @@ class _Handler(BaseHTTPRequestHandler):
         service = self.service
         service.metrics.counter("service.http.requests").inc()
         self.trace_id = clean_trace_id(self.headers.get(TRACE_HEADER)) or new_trace_id()
+        #: Set once a streamed reply's status line is out.
+        self._streaming = False
         try:
             route()
         except Exception as exc:
@@ -502,7 +507,12 @@ class _Handler(BaseHTTPRequestHandler):
                 path=self.path, detail=detail,
                 traceback=traceback.format_exc(limit=20),
             )
-            self._send_json(500, {"error": "internal", "detail": detail})
+            if self._streaming:
+                # Too late for a 500: end the connection, so the client
+                # sees the reply cut short instead of a corrupt body.
+                self.close_connection = True
+            else:
+                self._send_json(500, {"error": "internal", "detail": detail})
 
     def _send_json(
         self,
@@ -536,16 +546,42 @@ class _Handler(BaseHTTPRequestHandler):
         content_type: str,
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
+        self._send_head(
+            status, content_type,
+            {"Content-Length": str(len(payload)), **(headers or {})},
+        )
+        self.wfile.write(payload)
+
+    def _send_chunks(self, status: int, chunks: Iterator[bytes]) -> None:
+        """Reply with ``chunks`` as an HTTP/1.1 chunked JSON body, each
+        written as soon as it is made.
+
+        The first chunk is made before the status line goes out, so a
+        failure to build the reply still becomes a 500.  A client older
+        than HTTP/1.1 cannot read a chunked body; it gets the joined chunks.
+        """
+        first = next(chunks)
+        if self.request_version != "HTTP/1.1":
+            self._send(status, b"".join((first, *chunks)), "application/json")
+            return
+        self._send_head(status, "application/json", {"Transfer-Encoding": "chunked"})
+        self._streaming = True
+        for chunk in itertools.chain((first,), chunks):
+            if chunk:
+                self.wfile.write(b"%x\r\n%s\r\n" % (len(chunk), chunk))
+        self.wfile.write(b"0\r\n\r\n")
+
+    def _send_head(
+        self, status: int, content_type: str, headers: Dict[str, str]
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in (headers or {}).items():
+        for name, value in headers.items():
             self.send_header(name, value)
         if self.service._draining:
             # Ends this connection after the reply (send_header sees it).
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(payload)
 
     def _read_json_body(self) -> Any:
         length = int(self.headers.get("Content-Length") or 0)
@@ -643,7 +679,7 @@ class _Handler(BaseHTTPRequestHandler):
             if query.get("format", ["spans"])[0] == "chrome":
                 self._send_json(200, build_stitched_trace(job))
             else:
-                self._send_json(200, build_trace_document(job))
+                self._send_chunks(200, trace_document_chunks(job))
         elif tail == "profile":
             if not job.spec.profile:
                 self._send_json(

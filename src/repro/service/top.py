@@ -214,3 +214,5 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     except DAEMON_ERRORS as error:
         return daemon_error(PROG, args.url, error)
+    finally:
+        client.close()

@@ -160,6 +160,17 @@ class RunTracer(Tracer):
         self.dropped += 1
         return False
 
+    def take_events(self) -> List[TraceEvent]:
+        """Hand the kept events over, leaving this tracer empty.
+
+        A finished run's ``System``, this tracer included, is cyclic
+        garbage until the next full collection; a copy would leave the
+        events alive that long, the handed-over list dies with its
+        taker.
+        """
+        events, self._events = self._events, []
+        return events
+
 
 class NullTracer:
     """The disabled tracer: every operation is a no-op.

@@ -95,6 +95,28 @@ def deadly_task(value):
     return value * 2
 
 
+class TestRunTask:
+    def test_dropped_results_leave_no_trace_event_alive(self):
+        """A finished run's System is cyclic garbage until the next full
+        collection; the events run_task hands over must not live as long."""
+        import gc
+
+        from repro.core.pool import run_task
+        from repro.telemetry import TraceEvent
+
+        gc.collect()
+        gc.disable()
+        try:
+            for key in fig4_keys()[:3]:
+                metrics, info = run_task(key, 4000)
+                assert info["events"]
+                del metrics, info
+            alive = sum(isinstance(o, TraceEvent) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert alive == 0
+
+
 class TestWorkerPool:
     """Direct pool mechanics with trivial runners (no simulation)."""
 

@@ -14,10 +14,16 @@ import pytest
 from repro.obsd import FlightRecorder, PostmortemStore, default_triggers
 from repro.obsd.cli import main as slo_main
 from repro.obsd.report import postmortem_text, render_postmortem_html
+from repro.telemetry import TraceEvent
 
 
 def main(argv):
     return slo_main(["postmortem", *argv])
+
+
+def _load(path):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 @pytest.fixture()
@@ -29,7 +35,7 @@ def bundle_path(tmp_path):
     recorder.note_run(
         {"run": "bfs+MemcachedService", "worker_pid": 4242,
          "wall_start_s": 130.0, "wall_end_s": 139.5},
-        [{"ts": i} for i in range(30)],
+        [TraceEvent("i", "tick", "sim", 0, float(i)) for i in range(30)],
         {"samples": {"interval_ns": 1000, "columns": ["t"], "rows": [[1], [2]]}},
     )
     doc = recorder.trigger_manual("cli test", at_s=140.0)
@@ -39,18 +45,18 @@ def bundle_path(tmp_path):
 
 class TestRenderDeterminism:
     def test_html_is_byte_identical_across_renders(self, bundle_path):
-        doc = json.loads(open(bundle_path).read())
+        doc = _load(bundle_path)
         assert render_postmortem_html(doc) == render_postmortem_html(doc)
 
     def test_text_summary_is_deterministic(self, bundle_path):
-        doc = json.loads(open(bundle_path).read())
+        doc = _load(bundle_path)
         text = postmortem_text(doc)
         assert text == postmortem_text(doc)
         assert doc["id"] in text
         assert "ring:" in text
 
     def test_html_embeds_the_raw_bundle(self, bundle_path):
-        doc = json.loads(open(bundle_path).read())
+        doc = _load(bundle_path)
         html = render_postmortem_html(doc)
         assert "hiss-postmortem-data" in html
         assert "<svg" in html
@@ -71,7 +77,7 @@ class TestCliExitCodes:
 
     def test_validate_broken_bundle_exits_1(self, bundle_path, tmp_path, capsys):
         broken = tmp_path / "broken.json"
-        doc = json.loads(open(bundle_path).read())
+        doc = _load(bundle_path)
         doc["schema"] = "hiss.wrong/9"
         broken.write_text(json.dumps(doc))
         assert main(["validate", str(broken)]) == 1
@@ -79,7 +85,7 @@ class TestCliExitCodes:
 
     def test_render_refuses_invalid_input(self, bundle_path, tmp_path):
         broken = tmp_path / "broken.json"
-        doc = json.loads(open(bundle_path).read())
+        doc = _load(bundle_path)
         del doc["trigger"]
         broken.write_text(json.dumps(doc))
         with pytest.raises(SystemExit) as excinfo:
@@ -115,7 +121,7 @@ class TestCliExitCodes:
 
 class TestRecorderRing:
     def test_run_tails_land_in_the_ring(self, bundle_path):
-        doc = json.loads(open(bundle_path).read())
+        doc = _load(bundle_path)
         kinds = {entry["kind"] for entry in doc["flight_ring"]["entries"]}
         assert "sim.tail" in kinds
         assert "sampler.tail" in kinds
@@ -125,4 +131,6 @@ class TestRecorderRing:
         )
         # Only the tail of the event stream rides along, with the total.
         assert tail["data"]["events_total"] == 30
-        assert len(tail["data"]["events"]) == 16
+        assert [event["ts_ns"] for event in tail["data"]["events"]] == [
+            float(i) for i in range(14, 30)
+        ]

@@ -223,7 +223,7 @@ def _build_inputs(directory: str) -> None:  # pragma: no cover - manual tool
     from repro.obsd.replay import replay_ops_log
     from repro.obsd.slo import SloSpec, evaluate_slos, slo_document
     from repro.profiling import ProfileCollector, Profiler
-    from repro.telemetry import Tracer, write_chrome_trace
+    from repro.telemetry import TraceEvent, Tracer, write_chrome_trace
     from repro.workloads import gpu_app, parsec
 
     def path(name):
@@ -287,7 +287,7 @@ def _build_inputs(directory: str) -> None:  # pragma: no cover - manual tool
         recorder.note_run(
             {"run": "blackscholesxubench@1ms", "worker_pid": 4242,
              "wall_start_s": 130.0, "wall_end_s": 139.5},
-            [{"ts": step} for step in range(30)],
+            [TraceEvent("i", "tick", "sim", 0, float(step)) for step in range(30)],
             run_doc,
         )
         bundle = recorder.trigger_manual("golden capture", at_s=140.0)

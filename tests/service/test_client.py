@@ -98,8 +98,7 @@ def closed_port() -> int:
 
 class TestOneConnection:
     def test_calls_share_one_accepted_connection(self, accepted):
-        with running() as svc:
-            client = ServiceClient(svc.url)
+        with running() as svc, ServiceClient(svc.url) as client:
             body = client.submit(["fig4"], quick=True, horizon_ms=1.0)
             client.wait(body["job"]["id"], timeout_s=120, poll_s=0.02)
             for _ in range(10):
@@ -116,7 +115,7 @@ class TestOneConnection:
             client = ServiceClient(first.url)
             assert client.health()["status"] == "ok"
             port = first.port
-        with running(port=port) as second:
+        with running(port=port) as second, client:
             # The kept-alive socket now leads nowhere: the call fails on it
             # before any status line and is sent again on a new connection.
             assert client.health()["status"] == "ok"
@@ -127,8 +126,7 @@ class TestOneConnection:
         def hang_up(connection):
             connection.recv(65536)
 
-        with scripted(hang_up) as (url, requests):
-            client = ServiceClient(url, timeout_s=10)
+        with scripted(hang_up) as (url, requests), ServiceClient(url, timeout_s=10) as client:
             with pytest.raises(http.client.RemoteDisconnected):
                 client.health()
         assert len(requests) == 1  # not sent again
@@ -145,8 +143,9 @@ class TestOneConnection:
             connection.recv(65536)  # the second request: never answered
             replied.wait(10)
 
-        with scripted(answer_once) as (url, requests):
-            client = ServiceClient(url, timeout_s=30)
+        with scripted(answer_once) as (url, requests), ServiceClient(
+            url, timeout_s=30
+        ) as client:
             assert client.health() == {}
             begin = time.monotonic()
             with pytest.raises(OSError):  # socket.timeout, TimeoutError from 3.10
@@ -157,8 +156,7 @@ class TestOneConnection:
         assert len(requests) == 1  # both requests went over one connection
 
     def test_threads_share_one_client_safely(self, accepted):
-        with running() as svc:
-            client = ServiceClient(svc.url)
+        with running() as svc, ServiceClient(svc.url) as client:
             job_ids = [
                 client.submit(["fig4"], quick=True, horizon_ms=h)["job"]["id"]
                 for h in (1.0, 1.5)
@@ -190,9 +188,8 @@ class TestOneConnection:
 
 class TestErrors:
     def test_429_carries_retry_after_and_trace_id(self, accepted):
-        with running(queue_limit=1) as svc:
+        with running(queue_limit=1) as svc, ServiceClient(svc.url) as client:
             svc.scheduler.pause()
-            client = ServiceClient(svc.url)
             client.submit(["table1"])
             with pytest.raises(ServiceRejected) as excinfo:
                 client.submit(["ipi"], horizon_ms=1.0, trace_id="00c0ffee00c0ffee")
@@ -209,8 +206,7 @@ class TestErrors:
         assert len(accepted) == 1
 
     def test_error_replies_raise_service_error(self, accepted, monkeypatch):
-        with running() as svc:
-            client = ServiceClient(svc.url)
+        with running() as svc, ServiceClient(svc.url) as client:
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(["figZZ"], trace_id="00000000000000aa")
             assert excinfo.value.status == 400
@@ -243,9 +239,9 @@ class TestErrors:
 
 
     def test_404_and_409_name_the_trace_id_in_body_and_header(self):
-        with running() as svc:
+        with running() as svc, ServiceClient(svc.url) as client:
             svc.scheduler.pause()
-            job_id = ServiceClient(svc.url).submit(["ipi"], horizon_ms=1.0)["job"]["id"]
+            job_id = client.submit(["ipi"], horizon_ms=1.0)["job"]["id"]
             connection = http.client.HTTPConnection(svc.host, svc.port, timeout=30)
             try:
                 for path, status, error in (
@@ -270,7 +266,7 @@ class TestErrors:
 
 class TestDraining:
     def test_a_draining_service_closes_each_connection(self, monkeypatch):
-        with running() as svc:
+        with running() as svc, ServiceClient(svc.url) as client:
             gate = threading.Event()
             run_batch = svc.scheduler._run_batch
 
@@ -279,7 +275,6 @@ class TestDraining:
                 run_batch(batch)
 
             monkeypatch.setattr(svc.scheduler, "_run_batch", held)
-            client = ServiceClient(svc.url)
             client.submit(["fig4"], quick=True, horizon_ms=1.0)
             stopper = threading.Thread(target=svc.stop)
             stopper.start()
@@ -308,7 +303,7 @@ class TestDraining:
             assert client.health()["status"] == "ok"
         # The idle kept-alive connection ended with the service, so the
         # next call finds nothing listening instead of a stale handler.
-        with pytest.raises(ConnectionRefusedError):
+        with client, pytest.raises(ConnectionRefusedError):
             client.health()
 
 

@@ -224,7 +224,10 @@ class TestPoolGauges:
         from repro.service import HissService
 
         svc = HissService(port=0, jobs=2, qos_threshold=10.0)
-        gauges = svc.gauges()
+        try:
+            gauges = svc.gauges()
+        finally:
+            svc.httpd.server_close()  # never started: only its socket is open
         for name in (
             "service.pool.spawned_workers",
             "service.pool.live_workers",

@@ -60,12 +60,16 @@ def _serve(tmp_path=None, **kwargs):
     return HissService(port=0, **kwargs)
 
 
-def _run_one_job(svc):
-    client = ServiceClient(svc.url, timeout_s=30)
+def _client(svc):
+    """A client of ``svc``; close it (a ``with`` block) when done."""
+    return ServiceClient(svc.url, timeout_s=30)
+
+
+def _run_one_job(client):
     body = client.submit(**SPEC_ARGS)
     doc = client.wait(body["job"]["id"], timeout_s=120)
     assert doc["state"] == "done"
-    return client, body
+    return body
 
 
 def _http(url):
@@ -77,8 +81,8 @@ def _http(url):
 class TestAutoCapture:
     def test_slo_tail_regression_produces_a_validating_bundle(self, tmp_path):
         stream = io.StringIO()
-        with _serve(tmp_path, slos=[TIGHT], ops_log=OpsLog(stream)) as svc:
-            client, _body = _run_one_job(svc)
+        with _serve(tmp_path, slos=[TIGHT], ops_log=OpsLog(stream)) as svc, _client(svc) as client:
+            _run_one_job(client)
             svc.slo_engine.tick(time.time(), svc)
             svc.flight.drain()
             index = client.postmortems()
@@ -101,13 +105,12 @@ class TestAutoCapture:
         assert written[0]["kind"] == "slo_alert"
 
     def test_worker_crash_produces_a_bundle(self, tmp_path, monkeypatch):
-        with _serve(tmp_path) as svc:
+        with _serve(tmp_path) as svc, _client(svc) as client:
             crashes = {"n": 0}
             monkeypatch.setattr(
                 "repro.core.pool.shared_pool_stats",
                 lambda: {"crashed_workers": crashes["n"], "spawned_workers": 4},
             )
-            client = ServiceClient(svc.url, timeout_s=30)
             # Baseline batch: recorder latches crashed_workers == 0.
             svc.flight.observe({"ts": time.time(), "event": "batch.executed"})
             assert client.postmortems()["postmortems"] == []
@@ -122,7 +125,7 @@ class TestAutoCapture:
             assert "1 pool worker(s) crashed" in bundle["trigger"]["detail"]
 
     def test_alert_storm_is_debounced_to_one_bundle(self, tmp_path):
-        with _serve(tmp_path) as svc:
+        with _serve(tmp_path) as svc, _client(svc) as client:
             now = time.time()
             for i in range(5):
                 svc.flight.observe(
@@ -130,7 +133,7 @@ class TestAutoCapture:
                      "burn_fast": 20.0, "burn_slow": 15.0}
                 )
             svc.flight.drain()
-            rows = ServiceClient(svc.url, timeout_s=30).postmortems()["postmortems"]
+            rows = client.postmortems()["postmortems"]
             assert len(rows) == 1
             gauges = svc.gauges()
             assert gauges["postmortem.captured"] == 1.0
@@ -139,7 +142,7 @@ class TestAutoCapture:
     def test_each_metric_family_is_exported_once(self, tmp_path):
         """A debounced storm and a traced job that drops events touch every
         postmortem and trace-drop metric; each is one family, a gauge."""
-        with _serve(tmp_path) as svc:
+        with _serve(tmp_path) as svc, _client(svc) as client:
             now = time.time()
             for i in range(5):
                 svc.flight.observe(
@@ -147,7 +150,6 @@ class TestAutoCapture:
                      "burn_fast": 20.0, "burn_slow": 15.0}
                 )
             svc.flight.drain()
-            client = ServiceClient(svc.url, timeout_s=30)
             body = client.submit(["fig4"], quick=True, horizon_ms=5.0)
             assert client.wait(body["job"]["id"], timeout_s=120)["state"] == "done"
             doc = client.metrics()
@@ -185,8 +187,8 @@ class TestOneWatcher:
 
     def test_stop_writes_the_bundle_of_its_final_tick_alert(self, tmp_path):
         stream = io.StringIO()
-        with _serve(tmp_path, slos=[TIGHT], ops_log=OpsLog(stream)) as svc:
-            _run_one_job(svc)
+        with _serve(tmp_path, slos=[TIGHT], ops_log=OpsLog(stream)) as svc, _client(svc) as client:
+            _run_one_job(client)
             assert svc.slo_engine.ticks == 0  # interval is huge: no timer tick
             assert list_bundles(str(tmp_path / "pm")) == []
         # stop() ticked once, the tight objective fired, and the alert's
@@ -281,18 +283,33 @@ class TestOneWatcher:
 
 class TestManualTrigger:
     def test_post_captures_on_demand(self, tmp_path):
-        with _serve(tmp_path) as svc:
-            client = ServiceClient(svc.url, timeout_s=30)
+        with _serve(tmp_path) as svc, _client(svc) as client:
             body = client.trigger_postmortem(reason="drill")
             assert body["postmortem"]["id"] == "pm-000000-manual"
             bundle = client.postmortem(body["postmortem"]["id"])
             assert validate_postmortem(bundle) == []
             assert bundle["trigger"]["detail"] == "drill"
 
+    def test_a_traced_jobs_bundle_copies_no_per_run_events(self, tmp_path):
+        with _serve(tmp_path) as svc, _client(svc) as client:
+            body = _run_one_job(client)
+            job_id = body["job"]["id"]
+            kept = sum(len(run["events"]) for run in client.trace(job_id)["sim"])
+            assert kept > 0
+            captured = client.trigger_postmortem(jobs=[job_id])
+            bundle = client.postmortem(captured["postmortem"]["id"])
+        assert validate_postmortem(bundle) == []
+        (job,) = bundle["jobs"]
+        assert job["sim"] and all("events" not in run for run in job["sim"])
+        # The runs' spans still count what each kept and dropped.
+        sims = [span for span in job["spans"] if span["category"] == "sim"]
+        assert sum(span["args"]["events"] for span in sims) == kept
+        tails = [e for e in bundle["flight_ring"]["entries"] if e["kind"] == "sim.tail"]
+        assert len(tails) == len(job["sim"])
+
     def test_post_rate_limits_with_429(self, tmp_path):
         triggers = (TriggerSpec("manual", "manual", debounce_s=0.0, max_per_hour=1),)
-        with _serve(tmp_path, flight_triggers=triggers) as svc:
-            client = ServiceClient(svc.url, timeout_s=30)
+        with _serve(tmp_path, flight_triggers=triggers) as svc, _client(svc) as client:
             client.trigger_postmortem()
             from repro.service.client import ServiceRejected
 
@@ -300,22 +317,22 @@ class TestManualTrigger:
                 client.trigger_postmortem()
 
     def test_post_404s_when_disabled(self):
-        with _serve() as svc:
+        with _serve() as svc, _client(svc) as client:
             from repro.service.client import ServiceError
 
             with pytest.raises(ServiceError) as excinfo:
-                ServiceClient(svc.url, timeout_s=30).trigger_postmortem()
+                client.trigger_postmortem()
             assert excinfo.value.status == 404
 
 
 class TestLedgerInvariant:
     def test_note_invariant_violation_captures(self, tmp_path):
-        with _serve(tmp_path) as svc:
+        with _serve(tmp_path) as svc, _client(svc) as client:
             svc.flight.note_invariant_violation(
                 time.time(), "service-channel sums diverged by 42ns"
             )
             svc.flight.drain()
-            rows = ServiceClient(svc.url, timeout_s=30).postmortems()["postmortems"]
+            rows = client.postmortems()["postmortems"]
             assert [row["kind"] for row in rows] == ["ledger_invariant"]
             assert "42ns" in rows[0]["detail"]
 
@@ -340,17 +357,17 @@ class TestReadSide:
             assert json.loads(excinfo.value.read())["error"] == "unknown-postmortem"
 
     def test_gauges_present_only_when_enabled(self, tmp_path):
-        with _serve(tmp_path) as svc:
-            gauges = ServiceClient(svc.url, timeout_s=30).metrics()["gauges"]
+        with _serve(tmp_path) as svc, _client(svc) as client:
+            gauges = client.metrics()["gauges"]
             assert gauges["postmortem.triggers"] == 4.0
             assert gauges["postmortem.captured"] == 0.0
-        with _serve() as svc:
-            gauges = ServiceClient(svc.url, timeout_s=30).metrics()["gauges"]
+        with _serve() as svc, _client(svc) as client:
+            gauges = client.metrics()["gauges"]
             assert not [n for n in gauges if n.startswith("postmortem.")]
 
     def test_ops_document_reports_flight_state(self, tmp_path):
-        with _serve(tmp_path) as svc:
-            ServiceClient(svc.url, timeout_s=30).trigger_postmortem()
+        with _serve(tmp_path) as svc, _client(svc) as client:
+            client.trigger_postmortem()
             ops = ops_document(svc)
             assert ops["postmortems"]["enabled"] is True
             assert ops["postmortems"]["stored"] == 1
@@ -363,8 +380,8 @@ class TestReadSide:
 class TestDisabledIsFree:
     def _served_results(self, tmp_path=None):
         clear_cache()
-        with _serve(tmp_path, jobs=2) as svc:
-            client, body = _run_one_job(svc)
+        with _serve(tmp_path, jobs=2) as svc, _client(svc) as client:
+            body = _run_one_job(client)
             _status, _headers, raw = _http(
                 f"{svc.url}/v1/jobs/{body['job']['id']}/result"
             )

@@ -28,7 +28,8 @@ def service(**kwargs):
     svc = HissService(port=0, **kwargs)
     svc.start()
     try:
-        yield svc, ServiceClient(svc.url, timeout_s=30)
+        with ServiceClient(svc.url, timeout_s=30) as client:
+            yield svc, client
     finally:
         svc.stop()
 

@@ -66,7 +66,8 @@ def service(**kwargs):
     svc = HissService(port=0, **kwargs)
     svc.start()
     try:
-        yield svc, ServiceClient(svc.url, timeout_s=30)
+        with ServiceClient(svc.url, timeout_s=30) as client:
+            yield svc, client
     finally:
         if not getattr(svc, "_test_stopped", False):
             svc.stop()

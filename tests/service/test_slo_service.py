@@ -57,12 +57,16 @@ def _serve(**kwargs):
     return HissService(port=0, **kwargs)
 
 
-def _run_one_job(svc):
-    client = ServiceClient(svc.url, timeout_s=30)
+def _client(svc):
+    """A client of ``svc``; close it (a ``with`` block) when done."""
+    return ServiceClient(svc.url, timeout_s=30)
+
+
+def _run_one_job(client):
     body = client.submit(**SPEC_ARGS)
     doc = client.wait(body["job"]["id"], timeout_s=120)
     assert doc["state"] == "done"
-    return client, body
+    return body
 
 
 def _http(url):
@@ -74,8 +78,8 @@ def _http(url):
 class TestBurnRateAlerting:
     def test_injected_tail_regression_raises_an_alert(self):
         stream = io.StringIO()
-        with _serve(slos=[TIGHT], ops_log=OpsLog(stream)) as svc:
-            client, _body = _run_one_job(svc)
+        with _serve(slos=[TIGHT], ops_log=OpsLog(stream)) as svc, _client(svc) as client:
+            _run_one_job(client)
             svc.slo_engine.tick(time.time(), svc)
             alerts = client.alerts()
             assert alerts["firing"] == ["e2e-tight"]
@@ -94,8 +98,8 @@ class TestBurnRateAlerting:
 
     def test_healthy_run_stays_quiet(self):
         stream = io.StringIO()
-        with _serve(slos=[LOOSE], ops_log=OpsLog(stream)) as svc:
-            client, _body = _run_one_job(svc)
+        with _serve(slos=[LOOSE], ops_log=OpsLog(stream)) as svc, _client(svc) as client:
+            _run_one_job(client)
             svc.slo_engine.tick(time.time(), svc)
             alerts = client.alerts()
             assert alerts["firing"] == []
@@ -104,8 +108,8 @@ class TestBurnRateAlerting:
         assert not [r for r in records if r["event"].startswith("slo.")]
 
     def test_alert_resolves_when_the_tail_recovers(self):
-        with _serve(slos=[TIGHT]) as svc:
-            client, _body = _run_one_job(svc)
+        with _serve(slos=[TIGHT]) as svc, _client(svc) as client:
+            _run_one_job(client)
             svc.slo_engine.tick(time.time(), svc)
             assert client.alerts()["firing"] == ["e2e-tight"]
             # Quiet window: the next ticks see no new e2e observations,
@@ -120,8 +124,8 @@ class TestBurnRateAlerting:
 
     def test_stop_runs_a_final_synchronous_tick(self):
         stream = io.StringIO()
-        with _serve(slos=[TIGHT], ops_log=OpsLog(stream)) as svc:
-            _run_one_job(svc)
+        with _serve(slos=[TIGHT], ops_log=OpsLog(stream)) as svc, _client(svc) as client:
+            _run_one_job(client)
             assert svc.slo_engine.ticks == 0  # interval is huge: no timer tick
         records = [json.loads(l) for l in stream.getvalue().splitlines()]
         # stop() evaluated once on the drained service and saw the breach.
@@ -133,8 +137,8 @@ class TestBurnRateAlerting:
 class TestDisabledIsFree:
     def _served_documents(self, slos):
         clear_cache()
-        with _serve(jobs=2, slos=slos) as svc:
-            client, body = _run_one_job(svc)
+        with _serve(jobs=2, slos=slos) as svc, _client(svc) as client:
+            body = _run_one_job(client)
             job_id = body["job"]["id"]
             status_doc = client.status(job_id)
             _status, _headers, result = _http(f"{svc.url}/v1/jobs/{job_id}/result")
@@ -168,19 +172,19 @@ class TestDisabledIsFree:
             assert body["error"] == "slo-disabled"
 
     def test_slo_gauges_present_only_when_enabled(self):
-        with _serve(slos=[LOOSE]) as svc:
+        with _serve(slos=[LOOSE]) as svc, _client(svc) as client:
             svc.slo_engine.tick(time.time(), svc)
-            gauges = ServiceClient(svc.url, timeout_s=30).metrics()["gauges"]
+            gauges = client.metrics()["gauges"]
             assert gauges["slo.specs"] == 1.0
             assert gauges["slo.firing"] == 0.0
             assert "slo.e2e-loose.burn_fast" in gauges
-        with _serve() as svc:
-            gauges = ServiceClient(svc.url, timeout_s=30).metrics()["gauges"]
+        with _serve() as svc, _client(svc) as client:
+            gauges = client.metrics()["gauges"]
             assert not [name for name in gauges if name.startswith("slo.")]
 
     def test_ops_document_reports_slo_state(self):
-        with _serve(slos=[TIGHT]) as svc:
-            _run_one_job(svc)
+        with _serve(slos=[TIGHT]) as svc, _client(svc) as client:
+            _run_one_job(client)
             svc.slo_engine.tick(time.time(), svc)
             ops = ops_document(svc)
             assert ops["slo"]["enabled"] is True

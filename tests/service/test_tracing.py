@@ -7,6 +7,7 @@ trace is valid, tracing on/off does not change served result bytes, and
 the ops surfaces (``/v1/ops``, JSONL log, ``hiss top``) reflect reality.
 """
 
+import http.client
 import io
 import json
 import urllib.request
@@ -38,9 +39,13 @@ def _serve(**kwargs):
     return HissService(port=0, **kwargs)
 
 
+def _client(svc):
+    """A client of ``svc``; close it (a ``with`` block) when done."""
+    return ServiceClient(svc.url, timeout_s=30)
+
+
 def _served_trace(jobs=2, chrome=False):
-    with _serve(jobs=jobs) as svc:
-        client = ServiceClient(svc.url, timeout_s=30)
+    with _serve(jobs=jobs) as svc, _client(svc) as client:
         body = client.submit(**SPEC_ARGS)
         job_id = body["job"]["id"]
         doc = client.wait(job_id, timeout_s=120)
@@ -111,8 +116,7 @@ class TestServedTrace:
         assert 0 in pids and len(pids) == 9  # service + one pid per run
 
     def test_trace_endpoint_while_queued_and_404(self):
-        with _serve() as svc:
-            client = ServiceClient(svc.url, timeout_s=30)
+        with _serve() as svc, _client(svc) as client:
             svc.scheduler.pause()
             body = client.submit(["table1"])
             trace = client.trace(body["job"]["id"])
@@ -128,7 +132,7 @@ class TestServedTrace:
 
 class TestBackoffRounds:
     def test_429_rounds_appear_in_the_admitted_jobs_trace(self):
-        with _serve(queue_limit=1) as svc:
+        with _serve(queue_limit=1) as svc, _client(svc) as client:
             svc.scheduler.pause()
             status, _body, _headers = svc.submit_document({"experiment": "table1"})
             assert status == 202
@@ -145,7 +149,6 @@ class TestBackoffRounds:
             assert status == 429
             rejections = 2
             svc.scheduler.resume()
-            client = ServiceClient(svc.url, timeout_s=30)
             import time
 
             deadline = time.monotonic() + 60
@@ -178,20 +181,19 @@ class TestBackoffRounds:
             assert root["start_s"] <= backoffs[0]["start_s"]
 
     def test_bad_client_trace_ids_are_replaced_not_trusted(self):
-        with _serve() as svc:
+        with _serve() as svc, _client(svc) as client:
             status, body, _headers = svc.submit_document(
                 {"experiment": "table1"}, trace_id="<script>alert(1)</script>"
             )
             assert status == 202
             assert body["trace_id"] != "<script>alert(1)</script>"
-            ServiceClient(svc.url, timeout_s=30).wait(body["job"]["id"], timeout_s=60)
+            client.wait(body["job"]["id"], timeout_s=60)
 
 
 class TestResultBytesUnchanged:
     def _result_bytes(self, trace_enabled):
         clear_cache()
-        with _serve(jobs=2, trace=trace_enabled) as svc:
-            client = ServiceClient(svc.url, timeout_s=30)
+        with _serve(jobs=2, trace=trace_enabled) as svc, _client(svc) as client:
             body = client.submit(**SPEC_ARGS)
             job_id = body["job"]["id"]
             doc = client.wait(job_id, timeout_s=120)
@@ -214,8 +216,7 @@ class TestResultBytesUnchanged:
 
     def test_trace_off_still_serves_lifecycle_spans_without_events(self):
         clear_cache()
-        with _serve(jobs=2, trace=False) as svc:
-            client = ServiceClient(svc.url, timeout_s=30)
+        with _serve(jobs=2, trace=False) as svc, _client(svc) as client:
             body = client.submit(**SPEC_ARGS)
             client.wait(body["job"]["id"], timeout_s=120)
             trace = client.trace(body["job"]["id"])
@@ -224,13 +225,88 @@ class TestResultBytesUnchanged:
             assert all(not run["events"] for run in trace["sim"])
 
 
+class _Http10Connection(http.client.HTTPConnection):
+    _http_vsn, _http_vsn_str = 10, "HTTP/1.0"
+
+
+class TestStreamedTrace:
+    """``GET /trace`` streams the one builder's bytes, one run at a time."""
+
+    @staticmethod
+    def _streamed_equals_built(svc, client, job_id):
+        status, headers, raw = client._exchange(
+            "GET", f"/v1/jobs/{job_id}/trace", None, {}, 30
+        )
+        assert status == 200
+        assert headers["Transfer-Encoding"] == "chunked"
+        built = json.dumps(build_trace_document(svc.store.get(job_id))) + "\n"
+        assert raw == built.encode("utf-8")
+        return json.loads(raw)
+
+    def test_streamed_body_is_the_built_document_byte_for_byte(self):
+        clear_cache()
+        with _serve(trace=False) as svc, _client(svc) as client:
+            body = client.submit(["fig4"], quick=True, horizon_ms=5.0)
+            client.wait(body["job"]["id"], timeout_s=120)
+            untraced = self._streamed_equals_built(svc, client, body["job"]["id"])
+        assert untraced["sim"] and all(not run["events"] for run in untraced["sim"])
+
+        clear_cache()
+        with _serve() as svc, _client(svc) as client:
+            body = client.submit(["fig4", "ipi"], quick=True, horizon_ms=5.0)
+            job_id = body["job"]["id"]
+            client.wait(job_id, timeout_s=120)
+            traced = self._streamed_equals_built(svc, client, job_id)
+            assert sum(run["events_dropped"] for run in traced["sim"]) > 0
+            assert all(run["events"] for run in traced["sim"])
+
+            # An HTTP/1.0 client reads no chunked body: it gets the same
+            # bytes with a Content-Length.
+            http10 = _Http10Connection(svc.host, svc.port, timeout=30)
+            try:
+                http10.request("GET", f"/v1/jobs/{job_id}/trace")
+                reply = http10.getresponse()
+                assert reply.getheader("Transfer-Encoding") is None
+                raw = reply.read()
+            finally:
+                http10.close()
+            assert raw == (json.dumps(traced) + "\n").encode("utf-8")
+            assert reply.getheader("Content-Length") == str(len(raw))
+
+            body = client.submit(["fig4"], quick=True, horizon_ms=5.0)
+            cached_id = body["job"]["id"]
+            assert client.wait(cached_id, timeout_s=120)["runs_executed"] == 0
+            cached = self._streamed_equals_built(svc, client, cached_id)
+            assert cached["sim"] == []
+
+            # The chunked reply left the kept-alive connection usable.
+            sock = client._local.connection.sock
+            assert client.status(job_id)["state"] == "done"
+            assert client._local.connection.sock is sock
+
+
+class TestStoredEvents:
+    def test_a_runs_blob_serves_the_bytes_of_its_live_events(self):
+        from repro.core import plan_runs
+        from repro.core.pool import run_task
+        from repro.service.obs import decode_events, encode_events, sim_event_dicts
+
+        keys, _skipped = plan_runs(["ipi"], lambda _id: {"horizon_ns": 5_000_000})
+        _metrics, info = run_task(keys[0], 4000)
+        events = info["events"]
+        assert events
+        assert json.dumps(decode_events(encode_events(events))) == json.dumps(
+            sim_event_dicts(events)
+        )
+        assert encode_events([]) is None and decode_events(None) == []
+
+
 class TestDroppedEvents:
     def test_dropped_gauge_counts_exactly_the_runs_own_drops(self):
         # 52 runs keep about 103k events between them: more than a
         # 100,000-event batch-wide ring holds, so one would inflate the gauge.
         clear_cache()
-        with _serve(jobs=2) as svc:
-            client = ServiceClient(svc.url, timeout_s=30)
+        with _serve(jobs=2) as svc, _client(svc) as client:
             body = client.submit(["fig3a", "fig3b"], quick=True, horizon_ms=5.0)
             job_id = body["job"]["id"]
             assert client.wait(job_id, timeout_s=300)["state"] == "done"
@@ -244,8 +320,7 @@ class TestDroppedEvents:
 
 class TestOpsSurfaces:
     def test_ops_endpoint_and_top_render(self):
-        with _serve() as svc:
-            client = ServiceClient(svc.url, timeout_s=30)
+        with _serve() as svc, _client(svc) as client:
             body = client.submit(["table1"])
             client.wait(body["job"]["id"], timeout_s=60)
             ops = client.ops()
@@ -266,8 +341,7 @@ class TestOpsSurfaces:
             assert "hiss top" in frame and "(none yet)" in frame
 
     def test_metrics_gains_trace_and_disk_gauges(self, tmp_path):
-        with _serve(cache_dir=str(tmp_path / "cache")) as svc:
-            client = ServiceClient(svc.url, timeout_s=30)
+        with _serve(cache_dir=str(tmp_path / "cache")) as svc, _client(svc) as client:
             body = client.submit(["table1"])
             client.wait(body["job"]["id"], timeout_s=60)
             doc = client.metrics()
@@ -280,8 +354,7 @@ class TestOpsSurfaces:
 
     def test_jsonl_ops_log_correlates_a_job_lifecycle(self):
         stream = io.StringIO()
-        with _serve(ops_log=OpsLog(stream)) as svc:
-            client = ServiceClient(svc.url, timeout_s=30)
+        with _serve(ops_log=OpsLog(stream)) as svc, _client(svc) as client:
             body = client.submit(["table1"])
             client.wait(body["job"]["id"], timeout_s=60)
         records = [json.loads(line) for line in stream.getvalue().splitlines()]
@@ -314,16 +387,14 @@ class TestOpsSurfaces:
 
 class TestClientErrorsCarryTraceIds:
     def test_bad_spec_error_message_names_the_trace(self):
-        with _serve() as svc:
-            client = ServiceClient(svc.url, timeout_s=30)
+        with _serve() as svc, _client(svc) as client:
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(["figZZ"])
             assert excinfo.value.trace_id
             assert f"[trace {excinfo.value.trace_id}]" in str(excinfo.value)
 
     def test_per_request_timeout_override(self):
-        with _serve() as svc:
-            client = ServiceClient(svc.url, timeout_s=30)
+        with _serve() as svc, _client(svc) as client:
             # A generous per-request override still succeeds...
             assert client._get("/healthz", timeout_s=10)["status"] == "ok"
             # ...and the configured default remains untouched.
